@@ -1,9 +1,11 @@
 #include "measure/protocols.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/table.h"
 #include "measure/event_queue.h"
 
 namespace cloudia::measure {
@@ -26,35 +28,42 @@ Status CancelledStatus(const char* protocol) {
                            " measurement aborted by its cancel token");
 }
 
-}  // namespace
-
-uint64_t MeasurementProtocolSeed(uint64_t seed) {
-  uint64_t s = seed ^ 0x6d656173756572ULL;  // "measur"
-  return SplitMix64(s);
-}
-
-double DefaultMeasureDurationS(size_t instance_count) {
-  return 300.0 * static_cast<double>(instance_count) / 100.0;
-}
-
-const char* ProtocolName(Protocol protocol) {
-  switch (protocol) {
-    case Protocol::kTokenPassing:
-      return "TokenPassing";
-    case Protocol::kUncoordinated:
-      return "Uncoordinated";
-    case Protocol::kStaged:
-      return "Staged";
+// The checks every protocol shares. A negative or NaN probe size silently
+// changes the measured costs, and simulator CPU grows with the virtual
+// duration, so an unbounded one holds the caller's thread indefinitely.
+Status ValidateOptions(const net::LinkSampler& sampler,
+                       const ProtocolOptions& options) {
+  if (sampler.size() < 2) {
+    return Status::InvalidArgument("need at least 2 instances");
   }
-  return "Unknown";
+  if (!std::isfinite(options.msg_bytes) || options.msg_bytes < 0) {
+    return Status::InvalidArgument(StrFormat(
+        "msg_bytes=%g: probe size must be finite and >= 0 (valid range: "
+        "[0, inf) bytes)",
+        options.msg_bytes));
+  }
+  if (!std::isfinite(options.duration_s) || options.duration_s <= 0 ||
+      options.duration_s > kMaxMeasureDurationS) {
+    return Status::InvalidArgument(StrFormat(
+        "duration_s=%g: measurement duration must be finite and in "
+        "(0, %g] virtual seconds (one virtual day)",
+        options.duration_s, kMaxMeasureDurationS));
+  }
+  if (!std::isfinite(options.start_t_hours)) {
+    return Status::InvalidArgument(StrFormat(
+        "start_t_hours=%g: start time must be finite (valid range: "
+        "(-inf, inf) hours)",
+        options.start_t_hours));
+  }
+  return Status::OK();
 }
 
-Result<MeasurementResult> RunTokenPassing(
-    const net::CloudSimulator& cloud,
-    const std::vector<net::Instance>& instances,
-    const ProtocolOptions& options) {
-  const int n = static_cast<int>(instances.size());
-  if (n < 2) return Status::InvalidArgument("need at least 2 instances");
+// The protocol loops sample through the run's LinkSampler: instance
+// indices in, the same samples CloudSimulator::SampleRtt would give out.
+
+Result<MeasurementResult> TokenPassing(net::LinkSampler& sampler,
+                                       const ProtocolOptions& options) {
+  const int n = sampler.size();
   Rng rng(options.seed);
   MeasurementResult result(n);
   const double budget_ms = options.duration_s * 1e3;
@@ -79,16 +88,13 @@ Result<MeasurementResult> RunTokenPassing(
       if (options.cancel.Cancelled()) return CancelledStatus("token-passing");
       // Pass the token from the current holder to i (unless i holds it).
       if (holder != i) {
-        now += 0.5 * cloud.SampleRtt(instances[static_cast<size_t>(holder)],
-                                     instances[static_cast<size_t>(i)],
-                                     kTokenBytes,
-                                     HoursAt(options.start_t_hours, now), rng);
+        now += 0.5 * sampler.SampleRtt(holder, i, kTokenBytes,
+                                       HoursAt(options.start_t_hours, now),
+                                       rng);
         holder = i;
       }
-      double rtt = cloud.SampleRtt(instances[static_cast<size_t>(i)],
-                                   instances[static_cast<size_t>(j)],
-                                   options.msg_bytes,
-                                   HoursAt(options.start_t_hours, now), rng);
+      double rtt = sampler.SampleRtt(i, j, options.msg_bytes,
+                                     HoursAt(options.start_t_hours, now), rng);
       now += rtt;
       result.Link(i, j).Add(rtt, rng);
       result.NoteSample();
@@ -98,12 +104,10 @@ Result<MeasurementResult> RunTokenPassing(
   return result;
 }
 
-Result<MeasurementResult> RunUncoordinated(
-    const net::CloudSimulator& cloud,
-    const std::vector<net::Instance>& instances,
-    const ProtocolOptions& options) {
-  const int n = static_cast<int>(instances.size());
-  if (n < 2) return Status::InvalidArgument("need at least 2 instances");
+Result<MeasurementResult> Uncoordinated(net::LinkSampler& sampler,
+                                        const ProtocolOptions& options) {
+  const int n = sampler.size();
+  const net::CloudSimulator& cloud = sampler.cloud();
   Rng rng(options.seed);
   MeasurementResult result(n);
   EventQueue queue;
@@ -122,9 +126,8 @@ Result<MeasurementResult> RunUncoordinated(
     if (j >= i) ++j;
     double depart = std::max(queue.now_ms(), busy_until[static_cast<size_t>(i)]);
     busy_until[static_cast<size_t>(i)] = depart + occupy;
-    double base = cloud.SampleRtt(
-        instances[static_cast<size_t>(i)], instances[static_cast<size_t>(j)],
-        options.msg_bytes, HoursAt(options.start_t_hours, queue.now_ms()),
+    double base = sampler.SampleRtt(
+        i, j, options.msg_bytes, HoursAt(options.start_t_hours, queue.now_ms()),
         rng);
     double one_way = std::max(0.0, 0.5 * (base - occupy));
     // Probe arrives at j; waits while j is busy; j replies (occupying
@@ -159,11 +162,9 @@ Result<MeasurementResult> RunUncoordinated(
   return result;
 }
 
-Result<MeasurementResult> RunStaged(const net::CloudSimulator& cloud,
-                                    const std::vector<net::Instance>& instances,
-                                    const ProtocolOptions& options) {
-  const int n = static_cast<int>(instances.size());
-  if (n < 2) return Status::InvalidArgument("need at least 2 instances");
+Result<MeasurementResult> Staged(net::LinkSampler& sampler,
+                                 const ProtocolOptions& options) {
+  const int n = sampler.size();
   if (options.ks < 1) return Status::InvalidArgument("ks must be >= 1");
   Rng rng(options.seed);
   MeasurementResult result(n);
@@ -195,10 +196,9 @@ Result<MeasurementResult> RunStaged(const net::CloudSimulator& cloud,
       if ((cycle + p) % 2 == 1) std::swap(i, j);  // alternate directions
       double pair_time = 0.0;
       for (int k = 0; k < options.ks; ++k) {
-        double rtt = cloud.SampleRtt(
-            instances[static_cast<size_t>(i)], instances[static_cast<size_t>(j)],
-            options.msg_bytes, HoursAt(options.start_t_hours, now + pair_time),
-            rng);
+        double rtt = sampler.SampleRtt(
+            i, j, options.msg_bytes,
+            HoursAt(options.start_t_hours, now + pair_time), rng);
         pair_time += rtt;
         result.Link(i, j).Add(rtt, rng);
         result.NoteSample();
@@ -206,8 +206,8 @@ Result<MeasurementResult> RunStaged(const net::CloudSimulator& cloud,
       stage_time = std::max(stage_time, pair_time);
     }
     // Coordination overhead: notify + completion, pipelined across pairs.
-    stage_time += cloud.SampleRtt(instances[0], instances[1], kControlBytes,
-                                  HoursAt(options.start_t_hours, now), rng);
+    stage_time += sampler.SampleRtt(0, 1, kControlBytes,
+                                    HoursAt(options.start_t_hours, now), rng);
     now += stage_time;
     // Rotate the circle: position 0 fixed, the rest shift by one.
     std::rotate(circle.begin() + 1, circle.begin() + 2, circle.end());
@@ -220,17 +220,68 @@ Result<MeasurementResult> RunStaged(const net::CloudSimulator& cloud,
   return result;
 }
 
+}  // namespace
+
+uint64_t MeasurementProtocolSeed(uint64_t seed) {
+  uint64_t s = seed ^ 0x6d656173756572ULL;  // "measur"
+  return SplitMix64(s);
+}
+
+double DefaultMeasureDurationS(size_t instance_count) {
+  return 300.0 * static_cast<double>(instance_count) / 100.0;
+}
+
+const char* ProtocolName(Protocol protocol) {
+  switch (protocol) {
+    case Protocol::kTokenPassing:
+      return "TokenPassing";
+    case Protocol::kUncoordinated:
+      return "Uncoordinated";
+    case Protocol::kStaged:
+      return "Staged";
+  }
+  return "Unknown";
+}
+
+Result<MeasurementResult> RunTokenPassing(
+    const net::CloudSimulator& cloud,
+    const std::vector<net::Instance>& instances,
+    const ProtocolOptions& options) {
+  return RunProtocol(cloud, instances, Protocol::kTokenPassing, options);
+}
+
+Result<MeasurementResult> RunUncoordinated(
+    const net::CloudSimulator& cloud,
+    const std::vector<net::Instance>& instances,
+    const ProtocolOptions& options) {
+  return RunProtocol(cloud, instances, Protocol::kUncoordinated, options);
+}
+
+Result<MeasurementResult> RunStaged(const net::CloudSimulator& cloud,
+                                    const std::vector<net::Instance>& instances,
+                                    const ProtocolOptions& options) {
+  return RunProtocol(cloud, instances, Protocol::kStaged, options);
+}
+
 Result<MeasurementResult> RunProtocol(const net::CloudSimulator& cloud,
                                       const std::vector<net::Instance>& instances,
                                       Protocol protocol,
                                       const ProtocolOptions& options) {
+  net::LinkSampler sampler(cloud, instances);
+  return RunProtocol(sampler, protocol, options);
+}
+
+Result<MeasurementResult> RunProtocol(net::LinkSampler& sampler,
+                                      Protocol protocol,
+                                      const ProtocolOptions& options) {
+  CLOUDIA_RETURN_IF_ERROR(ValidateOptions(sampler, options));
   switch (protocol) {
     case Protocol::kTokenPassing:
-      return RunTokenPassing(cloud, instances, options);
+      return TokenPassing(sampler, options);
     case Protocol::kUncoordinated:
-      return RunUncoordinated(cloud, instances, options);
+      return Uncoordinated(sampler, options);
     case Protocol::kStaged:
-      return RunStaged(cloud, instances, options);
+      return Staged(sampler, options);
   }
   return Status::InvalidArgument("unknown protocol");
 }

@@ -19,13 +19,22 @@
 #include "common/result.h"
 #include "measure/probe_engine.h"
 #include "netsim/cloud.h"
+#include "netsim/link_sampler.h"
 
 namespace cloudia::measure {
 
+/// Longest virtual measurement a protocol accepts: one virtual day.
+/// Simulator CPU grows linearly with the duration.
+constexpr double kMaxMeasureDurationS = 86400.0;
+
+/// Every protocol fails with InvalidArgument, naming the field and its
+/// range, on a non-finite or negative msg_bytes, a non-finite or
+/// non-positive duration_s or one above kMaxMeasureDurationS, or a
+/// non-finite start_t_hours.
 struct ProtocolOptions {
   /// Probe message size (paper: 1 KB TCP round trips).
   double msg_bytes = net::kDefaultProbeBytes;
-  /// Virtual measurement duration in seconds.
+  /// Virtual measurement duration in seconds, in (0, kMaxMeasureDurationS].
   double duration_s = 300.0;
   /// Staged only: consecutive RTTs per pair within one stage.
   int ks = 10;
@@ -73,6 +82,13 @@ const char* ProtocolName(Protocol protocol);
 /// Dispatch helper.
 Result<MeasurementResult> RunProtocol(const net::CloudSimulator& cloud,
                                       const std::vector<net::Instance>& instances,
+                                      Protocol protocol,
+                                      const ProtocolOptions& options);
+
+/// Runs `protocol` over the sampler's instances. Every entry point above
+/// builds a fresh sampler and lands here; passing one in exposes its memo
+/// (LinkSampler::derivations) to the caller.
+Result<MeasurementResult> RunProtocol(net::LinkSampler& sampler,
                                       Protocol protocol,
                                       const ProtocolOptions& options);
 

@@ -70,7 +70,9 @@ class CloudSimulator {
 
   /// One stochastic RTT sample (ms), excluding any cross-flow interference
   /// (interference is modeled by the measurement engine, which knows about
-  /// concurrency; see measure/probe_engine.h).
+  /// concurrency; see measure/probe_engine.h). Derives the link from scratch
+  /// on every call; loops that sample a fixed instance list go through a
+  /// net::LinkSampler, which returns the same samples from a per-run memo.
   double SampleRtt(const Instance& a, const Instance& b, double msg_bytes,
                    double t_hours, Rng& rng) const;
 

@@ -61,11 +61,16 @@ double NetworkDynamics::HashUniform(uint64_t key) const {
   return static_cast<double>(SplitMix64(s) >> 11) * 0x1.0p-53;
 }
 
-double NetworkDynamics::LinkMultiplier(int host_a, int host_b,
-                                       double t_hours) const {
-  if (config_.episode_rate <= 0.0) return 1.0;
+int64_t NetworkDynamics::CongestionEpoch(double t_hours) const {
+  if (config_.episode_rate <= 0.0) return -1;
   const double since = t_hours - config_.start_hours;
-  if (since < 0.0) return 1.0;
+  if (since < 0.0) return -1;
+  return static_cast<int64_t>(since * 60.0 / config_.epoch_minutes);
+}
+
+double NetworkDynamics::LinkMultiplierAt(int host_a, int host_b,
+                                         int64_t epoch) const {
+  if (epoch < 0) return 1.0;
   if (host_a == host_b) return 1.0;  // same-host traffic never hits the fabric
 
   const int rack_a = topology_->RackOf(host_a);
@@ -74,8 +79,6 @@ double NetworkDynamics::LinkMultiplier(int host_a, int host_b,
   const uint64_t r_hi = static_cast<uint64_t>(std::max(rack_a, rack_b));
   const uint64_t pair = Combine(r_lo, Combine(r_hi, 0x7261636bULL));
 
-  const int64_t epoch =
-      static_cast<int64_t>(since * 60.0 / config_.epoch_minutes);
   const int64_t oldest =
       std::max<int64_t>(0, epoch - config_.max_episode_epochs + 1);
   // Sum the surviving excess of every episode whose onset falls inside the
@@ -97,16 +100,18 @@ double NetworkDynamics::LinkMultiplier(int host_a, int host_b,
   return multiplier;
 }
 
-int NetworkDynamics::EffectiveHost(int vm_id, int home_host,
-                                   double t_hours) const {
-  if (config_.relocation_prob <= 0.0) return home_host;
+int64_t NetworkDynamics::RelocationWindow(double t_hours) const {
+  if (config_.relocation_prob <= 0.0) return -1;
   const double since = t_hours - config_.start_hours;
-  if (since < 0.0) return home_host;
+  if (since < 0.0) return -1;
+  return static_cast<int64_t>(since / config_.relocation_window_hours);
+}
 
-  const int64_t window =
-      static_cast<int64_t>(since / config_.relocation_window_hours);
-  // Latest relocation wins; scan back from the current window. Windows are
-  // few (hours each), so the scan is short and needs no memoization.
+int NetworkDynamics::EffectiveHostInWindow(int vm_id, int home_host,
+                                           int64_t window) const {
+  // Latest relocation wins; scan back from the current window. The scan is
+  // linear in the window index, so the sampling loops memoize its result
+  // per VM and window (net::LinkSampler).
   for (int64_t w = window; w >= 0; --w) {
     const uint64_t reloc_key =
         Combine(kTagRelocate, Combine(static_cast<uint64_t>(vm_id),

@@ -90,12 +90,30 @@ class NetworkDynamics {
   /// Multiplicative congestion factor of the path between the two hosts at
   /// time `t_hours`; exactly 1.0 before start_hours, on same-host pairs, and
   /// on rack pairs with no live episode.
-  double LinkMultiplier(int host_a, int host_b, double t_hours) const;
+  double LinkMultiplier(int host_a, int host_b, double t_hours) const {
+    return LinkMultiplierAt(host_a, host_b, CongestionEpoch(t_hours));
+  }
 
   /// Where VM `vm_id` (whose allocation-time host is `home_host`) actually
   /// runs at `t_hours`: the target of its most recent relocation, or
   /// `home_host` when it was never relocated.
-  int EffectiveHost(int vm_id, int home_host, double t_hours) const;
+  int EffectiveHost(int vm_id, int home_host, double t_hours) const {
+    return EffectiveHostInWindow(vm_id, home_host, RelocationWindow(t_hours));
+  }
+
+  /// Congestion epoch containing `t_hours`, or -1 while the overlay is inert
+  /// (no episodes configured, or before start_hours). LinkMultiplier is
+  /// constant within one epoch, so per-run samplers key on this index.
+  int64_t CongestionEpoch(double t_hours) const;
+  /// LinkMultiplier at a given CongestionEpoch (1.0 for epoch -1).
+  double LinkMultiplierAt(int host_a, int host_b, int64_t epoch) const;
+
+  /// Relocation window containing `t_hours`, or -1 while relocation is inert
+  /// (probability 0, or before start_hours). EffectiveHost is constant
+  /// within one window.
+  int64_t RelocationWindow(double t_hours) const;
+  /// EffectiveHost at a given RelocationWindow (`home_host` for window -1).
+  int EffectiveHostInWindow(int vm_id, int home_host, int64_t window) const;
 
   /// True when the VM no longer runs on its allocation-time host at t.
   bool Relocated(int vm_id, int home_host, double t_hours) const {

@@ -51,9 +51,18 @@ class LatencyModel {
   double ExpectedRtt(int vm_a, int host_a, int vm_b, int host_b,
                      double msg_bytes, double t_hours) const;
 
-  /// One stochastic RTT sample (ms).
+  /// One stochastic RTT sample (ms): SampleRtt on Link(vm_a, ..., host_b).
   double SampleRtt(int vm_a, int host_a, int vm_b, int host_b,
-                   double msg_bytes, double t_hours, Rng& rng) const;
+                   double msg_bytes, double t_hours, Rng& rng) const {
+    return SampleRtt(Link(vm_a, host_a, vm_b, host_b), msg_bytes, t_hours,
+                     rng);
+  }
+
+  /// One stochastic RTT sample (ms) of a link whose parameters the caller
+  /// already derived (and may reuse across samples: Link is pure). Draws
+  /// exactly one exponential from `rng`.
+  double SampleRtt(const LinkParams& link, double msg_bytes, double t_hours,
+                   Rng& rng) const;
 
   /// One-way wire time for `msg_bytes` (ms), used by the interference model.
   double SerializationMs(double msg_bytes) const;
@@ -77,6 +86,9 @@ class LatencyModel {
   ProviderProfile profile_;
   const Topology* topology_;
   uint64_t seed_;
+  // Angular frequencies of the two drift components (rad/hour).
+  double drift_w1_;
+  double drift_w2_;
 };
 
 }  // namespace cloudia::net

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "netsim/link_sampler.h"
 
 namespace cloudia::redeploy {
 
@@ -93,7 +94,20 @@ DriftMonitor::DriftMonitor(const net::CloudSimulator* cloud,
       cusum_hi_(links_.size(), 0.0),
       cusum_lo_(links_.size(), 0.0),
       reference_(links_.size(), 0.0),
-      warmup_samples_(links_.size()) {}
+      warmup_samples_(links_.size()) {
+  std::vector<int> slot(instances_->size(), -1);
+  endpoint_links_.reserve(links_.size());
+  for (const auto& [i, j] : links_) {
+    for (int v : {i, j}) {
+      if (slot[static_cast<size_t>(v)] < 0) {
+        slot[static_cast<size_t>(v)] = static_cast<int>(endpoints_.size());
+        endpoints_.push_back(v);
+      }
+    }
+    endpoint_links_.push_back(
+        {slot[static_cast<size_t>(i)], slot[static_cast<size_t>(j)]});
+  }
+}
 
 Status DriftMonitor::Rebase(const deploy::CostMatrix& baseline) {
   if (baseline.size() != static_cast<int>(instances_->size())) {
@@ -124,16 +138,22 @@ DriftCheck DriftMonitor::Check(double t_hours) {
                     (0x636865636bULL + static_cast<uint64_t>(checks_run_));
   Rng rng(SplitMix64(stream));
 
+  std::vector<net::Instance> endpoints;
+  endpoints.reserve(endpoints_.size());
+  for (int v : endpoints_) {
+    endpoints.push_back((*instances_)[static_cast<size_t>(v)]);
+  }
+  net::LinkSampler sampler(*cloud_, endpoints);
+
   const double spacing_h = options_.probe_spacing_s / 3600.0;
   double abs_dev_sum = 0.0;
   std::vector<double> samples(static_cast<size_t>(options_.probes_per_link));
   for (size_t k = 0; k < links_.size(); ++k) {
     const auto [i, j] = links_[k];
-    const net::Instance& a = (*instances_)[static_cast<size_t>(i)];
-    const net::Instance& b = (*instances_)[static_cast<size_t>(j)];
+    const auto [ei, ej] = endpoint_links_[k];
     for (int p = 0; p < options_.probes_per_link; ++p) {
-      samples[static_cast<size_t>(p)] = cloud_->SampleRtt(
-          a, b, options_.probe_bytes, t_hours + p * spacing_h, rng);
+      samples[static_cast<size_t>(p)] = sampler.SampleRtt(
+          ei, ej, options_.probe_bytes, t_hours + p * spacing_h, rng);
     }
     const double probe = Median(samples);
     const double base = std::max(baseline_.At(i, j), 1e-9);

@@ -127,6 +127,11 @@ class DriftMonitor {
   deploy::CostMatrix baseline_;
   MonitorOptions options_;
   std::vector<std::pair<int, int>> links_;
+  /// Pool indices of the instances links_ touches, and links_ re-indexed
+  /// into that list: each check samples through a LinkSampler over just
+  /// these endpoints, so its memo is sized by the sample, not the pool.
+  std::vector<int> endpoints_;
+  std::vector<std::pair<int, int>> endpoint_links_;
 
   // Per sampled link, indexed like links_.
   std::vector<double> ewma_;

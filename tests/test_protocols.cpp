@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "common/stats.h"
 #include "measure/protocols.h"
@@ -71,6 +73,47 @@ TEST_F(ProtocolsTest, StagedRejectsBadKs) {
   ProtocolOptions opts;
   opts.ks = 0;
   EXPECT_FALSE(RunStaged(cloud_, instances_, opts).ok());
+}
+
+TEST_F(ProtocolsTest, AllProtocolsRejectOutOfRangeOptionsNamingTheField) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  struct BadOption {
+    double ProtocolOptions::*field;
+    double value;
+    const char* message;
+  };
+  const BadOption bad[] = {
+      {&ProtocolOptions::msg_bytes, -100.0, "msg_bytes=-100: probe size"},
+      {&ProtocolOptions::msg_bytes, nan, "msg_bytes=nan"},
+      {&ProtocolOptions::msg_bytes, inf, "msg_bytes=inf"},
+      {&ProtocolOptions::duration_s, 0.0, "duration_s=0: measurement"},
+      {&ProtocolOptions::duration_s, -5.0, "duration_s=-5"},
+      {&ProtocolOptions::duration_s, nan, "duration_s=nan"},
+      {&ProtocolOptions::duration_s, 1e308, "duration_s=1e+308"},
+      {&ProtocolOptions::duration_s, 86400.5, "(0, 86400] virtual seconds"},
+      {&ProtocolOptions::start_t_hours, inf, "start_t_hours=inf"},
+      {&ProtocolOptions::start_t_hours, nan, "start_t_hours=nan"},
+  };
+  for (const BadOption& b : bad) {
+    ProtocolOptions options;
+    options.*b.field = b.value;
+    for (Protocol protocol : {Protocol::kTokenPassing,
+                              Protocol::kUncoordinated, Protocol::kStaged}) {
+      auto r = RunProtocol(cloud_, instances_, protocol, options);
+      ASSERT_FALSE(r.ok()) << ProtocolName(protocol) << " " << b.message;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(r.status().message().find(b.message), std::string::npos)
+          << r.status().ToString();
+    }
+  }
+  // The bounds themselves are accepted: a zero-byte probe and a full day.
+  ProtocolOptions edge;
+  edge.msg_bytes = 0.0;
+  edge.duration_s = 86400.0;
+  edge.cancel.Cancel();  // validated, then aborted at the first poll
+  auto r = RunStaged(cloud_, instances_, edge);
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
 
 TEST_F(ProtocolsTest, TokenPassingCoversAllLinksWithoutInterference) {

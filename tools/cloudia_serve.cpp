@@ -64,7 +64,8 @@ void PrintUsage() {
       "      is already reflected, none below it is\n"
       "  provider=ec2|gce|rackspace   instances=N     env-seed=N\n"
       "  protocol=token|uncoordinated|staged   metric=mean|mean-sd|p99\n"
-      "  duration=VIRTUAL_SECONDS     probe-bytes=B\n"
+      "  duration=VIRTUAL_SECONDS (finite, <= 86400; <= 0 selects the\n"
+      "      paper's 5 min per 100 instances)   probe-bytes=B (finite, >= 0)\n"
       "  graph=mesh|tree|bipartite|ring   nodes=N\n"
       "  method=auto|%s\n"
       "  objective=longest-link|longest-path   budget=S   clusters=K\n"
@@ -165,6 +166,17 @@ Result<ParsedRequest> ParseRequestLine(const std::string& line,
         return Status::InvalidArgument(key + "=" + value + ": not a number");
       }
     };
+    // NaN fails every range check downstream, so "duration=nan" would
+    // silently measure for the default duration; the range itself is
+    // checked (and named) by the measurement protocols.
+    auto as_finite_double = [&]() -> Result<double> {
+      CLOUDIA_ASSIGN_OR_RETURN(double v, as_double());
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument(key + "=" + value +
+                                       ": must be a finite number");
+      }
+      return v;
+    };
     if (key == "verb") {
       if (value == "deploy") {
         parsed.is_redeploy = false;
@@ -264,9 +276,10 @@ Result<ParsedRequest> ParseRequestLine(const std::string& line,
       }
     } else if (key == "duration") {
       CLOUDIA_ASSIGN_OR_RETURN(req.environment.measure_duration_s,
-                               as_double());
+                               as_finite_double());
     } else if (key == "probe-bytes") {
-      CLOUDIA_ASSIGN_OR_RETURN(req.environment.probe_bytes, as_double());
+      CLOUDIA_ASSIGN_OR_RETURN(req.environment.probe_bytes,
+                               as_finite_double());
     } else if (key == "graph") {
       graph_name = value;
     } else if (key == "nodes") {
