@@ -82,11 +82,10 @@ Result<NdpSolveResult> SolveLlndpMip(const graph::CommGraph& graph,
     return result;
   }
 
-  // Model: x_ij = i * m + j (integers; <= 1 implied by the assignment rows),
-  // then the objective variable c.
+  // Model: x_ij = i * m + j (binaries), then the objective variable c.
   mip::MipModel model;
   for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < m; ++j) model.AddIntegerVar(0.0);
+    for (int j = 0; j < m; ++j) model.AddBinaryVar(0.0);
   }
   const int c_var = model.AddContinuousVar(1.0, "c");
   for (int i = 0; i < n; ++i) {

@@ -53,7 +53,7 @@ Result<NdpSolveResult> SolveLpndpMip(const graph::CommGraph& graph,
   // finally the objective variable t.
   mip::MipModel model;
   for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < m; ++j) model.AddIntegerVar(0.0);
+    for (int j = 0; j < m; ++j) model.AddBinaryVar(0.0);
   }
   const int c_base = n * m;
   for (int e = 0; e < num_edges; ++e) model.AddContinuousVar(0.0);

@@ -12,9 +12,13 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
+// One branching decision: x_var <= value (down) or x_var >= value (up).
+// A node's bounds are the model's bounds tightened by its chain to the root.
 struct Node {
-  int parent = -1;       // index into the node arena, -1 for root
-  lp::Row branch_row;    // empty coeffs for root
+  int parent = -1;  // index into the node arena, -1 for the root
+  int var = -1;     // -1 for the root
+  bool up = false;
+  double value = 0.0;
   double bound = kNegInf;  // LP bound inherited from the parent
 };
 
@@ -54,7 +58,22 @@ const char* MipStatusName(MipStatus status) {
 MipResult SolveMip(const MipModel& model, const MipOptions& options) {
   Stopwatch clock;
   MipResult result;
-  std::vector<lp::Row> cut_pool;
+  const int n = model.num_vars();
+
+  // One live LP for the whole search: the model's rows and bounds, every lazy
+  // row ever separated, and the current node's branch chain as bounds.
+  lp::Simplex lp(model.objective());
+  std::vector<double> lo(static_cast<size_t>(n), 0.0);
+  std::vector<double> hi(static_cast<size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    hi[static_cast<size_t>(v)] = model.upper(v);
+    lp.SetBounds(v, 0.0, model.upper(v));
+  }
+  for (const lp::Row& row : model.rows()) lp.AddRow(row);
+  auto add_lazy_rows = [&](const std::vector<lp::Row>& rows) {
+    result.lazy_rows_added += static_cast<int>(rows.size());
+    for (const lp::Row& row : rows) lp.AddRow(row);
+  };
 
   bool have_incumbent = false;
   double incumbent_obj = std::numeric_limits<double>::infinity();
@@ -72,18 +91,13 @@ MipResult SolveMip(const MipModel& model, const MipOptions& options) {
   // Warm start: accepted only if feasible for the model *and* the lazy family.
   if (!options.warm_start.empty() &&
       model.IsFeasible(options.warm_start, options.integrality_tol)) {
-    bool lazy_ok = true;
-    if (options.lazy) {
-      auto violated = options.lazy(options.warm_start, /*is_integral=*/true);
-      if (!violated.empty()) {
-        lazy_ok = false;
-        for (auto& row : violated) cut_pool.push_back(std::move(row));
-        result.lazy_rows_added += static_cast<int>(cut_pool.size());
-      }
-    }
-    if (lazy_ok) {
+    std::vector<lp::Row> violated;
+    if (options.lazy) violated = options.lazy(options.warm_start, /*is_integral=*/true);
+    if (violated.empty()) {
       accept_incumbent(options.warm_start,
                        model.ObjectiveValue(options.warm_start));
+    } else {
+      add_lazy_rows(violated);
     }
   }
 
@@ -93,7 +107,10 @@ MipResult SolveMip(const MipModel& model, const MipOptions& options) {
   stack.push_back(0);
 
   bool limit_hit = false;
-  double open_bound_min = kNegInf;  // recomputed at exit from the open stack
+  // Set when an integral LP point fails the model check: the search then
+  // no longer covers the whole space and cannot claim optimality.
+  bool inexact = false;
+  std::vector<int> branched;  // variables whose LP bounds the last node tightened
 
   std::vector<double> x;  // LP solution scratch
   while (!stack.empty()) {
@@ -112,62 +129,71 @@ MipResult SolveMip(const MipModel& model, const MipOptions& options) {
     }
     ++result.nodes;
 
-    // Assemble this node's LP: model rows + cut pool + branch chain.
-    lp::LpProblem lp;
-    lp.num_vars = model.num_vars();
-    lp.objective = model.objective();
-    lp.rows = model.rows();
-    for (const lp::Row& row : cut_pool) lp.rows.push_back(row);
-    for (int a = node_id; a != -1; a = arena[static_cast<size_t>(a)].parent) {
-      if (!arena[static_cast<size_t>(a)].branch_row.coeffs.empty()) {
-        lp.rows.push_back(arena[static_cast<size_t>(a)].branch_row);
-      }
+    // Move the LP's bounds from the previous node's chain to this one's.
+    std::vector<int> previous;
+    previous.swap(branched);
+    for (int v : previous) {
+      lo[static_cast<size_t>(v)] = 0.0;
+      hi[static_cast<size_t>(v)] = model.upper(v);
     }
+    for (int a = node_id; arena[static_cast<size_t>(a)].var >= 0;
+         a = arena[static_cast<size_t>(a)].parent) {
+      const Node& b = arena[static_cast<size_t>(a)];
+      const size_t v = static_cast<size_t>(b.var);
+      if (b.up) {
+        lo[v] = std::max(lo[v], b.value);
+      } else {
+        hi[v] = std::min(hi[v], b.value);
+      }
+      branched.push_back(b.var);
+    }
+    for (int v : previous) lp.SetBounds(v, lo[static_cast<size_t>(v)], hi[static_cast<size_t>(v)]);
+    for (int v : branched) lp.SetBounds(v, lo[static_cast<size_t>(v)], hi[static_cast<size_t>(v)]);
 
-    // Lazy-constraint loop: re-solve while the callback separates new rows.
+    // Lazy-constraint loop: reoptimize while the callback separates new rows.
     double bound = kNegInf;
     bool node_done = false;
     while (true) {
-      lp::LpSolution sol =
-          lp::SolveLp(lp, options.lp_max_iterations, options.deadline);
-      result.lp_iterations += sol.iterations;
-      if (sol.status == lp::LpStatus::kInfeasible) {
+      const int64_t pivots = lp.iterations();
+      lp::LpStatus status = lp.Solve(options.lp_max_iterations, options.deadline);
+      result.lp_iterations += lp.iterations() - pivots;
+      if (status == lp::LpStatus::kInfeasible) {
         node_done = true;
         break;
       }
-      if (sol.status != lp::LpStatus::kOptimal) {
+      if (status != lp::LpStatus::kOptimal) {
         // Unbounded or iteration-limited relaxation: no usable bound/point.
         limit_hit = true;
         node_done = true;
         break;
       }
-      bound = sol.objective;
+      bound = lp.objective();
       if (have_incumbent && bound >= incumbent_obj - options.gap_tol) {
         node_done = true;  // dominated
         break;
       }
-      x = sol.x;
+      x = lp.x();
       bool integral = PickBranchVar(model, x, options.integrality_tol) == -1;
       if (options.lazy) {
         auto violated = options.lazy(x, integral);
         if (!violated.empty()) {
-          result.lazy_rows_added += static_cast<int>(violated.size());
-          for (auto& row : violated) {
-            lp.rows.push_back(row);
-            cut_pool.push_back(std::move(row));
-          }
-          continue;  // re-solve with the new rows
+          add_lazy_rows(violated);
+          continue;  // reoptimize with the new rows
         }
       }
       if (integral) {
-        for (int v = 0; v < model.num_vars(); ++v) {
+        for (int v = 0; v < n; ++v) {
           if (model.is_integer(v)) {
             x[static_cast<size_t>(v)] = std::round(x[static_cast<size_t>(v)]);
           }
         }
-        double obj = model.ObjectiveValue(x);
-        if (!have_incumbent || obj < incumbent_obj - options.gap_tol) {
-          accept_incumbent(x, obj);
+        if (!model.IsFeasible(x, options.integrality_tol)) {
+          inexact = true;
+        } else {
+          double obj = model.ObjectiveValue(x);
+          if (!have_incumbent || obj < incumbent_obj - options.gap_tol) {
+            accept_incumbent(x, obj);
+          }
         }
         node_done = true;
       }
@@ -182,45 +208,35 @@ MipResult SolveMip(const MipModel& model, const MipOptions& options) {
     double val = x[static_cast<size_t>(v)];
     double floor_v = std::floor(val);
 
-    lp::Row down;  // x_v <= floor(val)
-    down.coeffs = {{v, 1.0}};
-    down.sense = lp::RowSense::kLe;
-    down.rhs = floor_v;
-    lp::Row up;  // x_v >= floor(val) + 1
-    up.coeffs = {{v, 1.0}};
-    up.sense = lp::RowSense::kGe;
-    up.rhs = floor_v + 1.0;
-
     bool up_first = (val - floor_v) >= 0.5;
-    auto push_child = [&](lp::Row row) {
+    auto push_child = [&](bool up) {
       Node child;
       child.parent = node_id;
-      child.branch_row = std::move(row);
+      child.var = v;
+      child.up = up;
+      child.value = up ? floor_v + 1.0 : floor_v;
       child.bound = bound;
-      arena.push_back(std::move(child));
+      arena.push_back(child);
       stack.push_back(static_cast<int>(arena.size()) - 1);
     };
     // Push the preferred child last so DFS pops it first.
-    if (up_first) {
-      push_child(std::move(down));
-      push_child(std::move(up));
-    } else {
-      push_child(std::move(up));
-      push_child(std::move(down));
-    }
+    push_child(!up_first);
+    push_child(up_first);
   }
 
   // Global lower bound: min over open nodes, or the incumbent when exhausted.
-  if (stack.empty() && !limit_hit) {
+  if (stack.empty() && !limit_hit && !inexact) {
     result.best_bound = have_incumbent ? incumbent_obj : 0.0;
     result.status = have_incumbent ? MipStatus::kOptimal : MipStatus::kInfeasible;
   } else {
-    open_bound_min = std::numeric_limits<double>::infinity();
-    for (int id : stack) {
-      open_bound_min =
-          std::min(open_bound_min, arena[static_cast<size_t>(id)].bound);
+    double open_bound_min = kNegInf;
+    if (!stack.empty()) {
+      open_bound_min = std::numeric_limits<double>::infinity();
+      for (int id : stack) {
+        open_bound_min =
+            std::min(open_bound_min, arena[static_cast<size_t>(id)].bound);
+      }
     }
-    if (stack.empty()) open_bound_min = kNegInf;
     result.best_bound = open_bound_min;
     result.status =
         have_incumbent ? MipStatus::kFeasible : MipStatus::kLimitNoSolution;

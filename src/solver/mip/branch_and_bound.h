@@ -1,13 +1,24 @@
-// LP-based branch & bound for MipModel:
+// LP-based branch & bound for MipModel over one live lp::Simplex:
+//   - the root LP is solved once; every later node reoptimizes from the
+//     current basis with dual simplex. Nodes share the objective and rows
+//     and differ only in bounds, so the last optimal basis is always dual
+//     feasible and no per-node LP or basis is stored,
+//   - branching tightens a variable's bounds (x <= floor / x >= floor + 1);
+//     moving to a node resets the previous node's chain and applies its own,
 //   - depth-first diving (finds incumbents early, bounded memory),
 //   - most-fractional branching, round-to-nearest child first,
 //   - lazy-constraint callback, called on every LP optimum; returned violated
-//     rows join a global cut pool shared by all nodes. This is how the
-//     O(|E| * |S|^2) coupling constraints of the paper's LLNDP/LPNDP
-//     encodings (Sect. 4.1/4.4) stay tractable: rows are generated only when
-//     violated, exactly as a commercial solver would treat lazy constraints.
+//     rows are appended to the live LP (their logical basic) and shared by
+//     all later nodes. This is how the O(|E| * |S|^2) coupling constraints of
+//     the paper's LLNDP/LPNDP encodings (Sect. 4.1/4.4) stay tractable: rows
+//     are generated only when violated, exactly as a commercial solver would
+//     treat lazy constraints,
+//   - every integral LP point is checked with MipModel::IsFeasible before it
+//     becomes the incumbent,
 //   - optional warm-start incumbent (the paper bootstraps its solvers with
 //     the best of 10 random deployments, Sect. 6.3).
+// Node, pivot and lazy-row counts depend only on the model and options, so
+// they repeat exactly across runs that are not cut by a deadline.
 #ifndef CLOUDIA_SOLVER_MIP_BRANCH_AND_BOUND_H_
 #define CLOUDIA_SOLVER_MIP_BRANCH_AND_BOUND_H_
 
@@ -37,6 +48,7 @@ struct MipOptions {
   double integrality_tol = 1e-6;
   /// Prune nodes whose LP bound is >= incumbent - gap_tol.
   double gap_tol = 1e-9;
+  /// Pivot limit of one LP reoptimization.
   int lp_max_iterations = 200000;
   LazyConstraintCallback lazy;
   /// Optional known-feasible start (checked against the model + lazy rows).
@@ -69,7 +81,7 @@ struct MipResult {
   std::vector<double> x;
   double best_bound = 0.0;  ///< global lower bound at termination
   int64_t nodes = 0;
-  int64_t lp_iterations = 0;
+  int64_t lp_iterations = 0;  ///< simplex pivots and bound flips
   int lazy_rows_added = 0;
   std::vector<IncumbentPoint> incumbent_trace;
 };

@@ -1,34 +1,35 @@
 #include "solver/mip/model.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
 namespace cloudia::mip {
 
-int MipModel::AddVar(double obj, bool integer, std::string name) {
+namespace {
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+}  // namespace
+
+int MipModel::AddVar(double obj, bool integer, double upper,
+                     std::string name) {
   objective_.push_back(obj);
   is_integer_.push_back(integer);
+  upper_.push_back(upper);
   names_.push_back(std::move(name));
   return num_vars() - 1;
 }
 
 int MipModel::AddContinuousVar(double obj, std::string name) {
-  return AddVar(obj, false, std::move(name));
+  return AddVar(obj, false, kUnbounded, std::move(name));
 }
 
 int MipModel::AddIntegerVar(double obj, std::string name) {
-  return AddVar(obj, true, std::move(name));
+  return AddVar(obj, true, kUnbounded, std::move(name));
 }
 
 int MipModel::AddBinaryVar(double obj, std::string name) {
-  int v = AddVar(obj, true, std::move(name));
-  lp::Row bound;
-  bound.coeffs = {{v, 1.0}};
-  bound.sense = lp::RowSense::kLe;
-  bound.rhs = 1.0;
-  AddConstraint(std::move(bound));
-  return v;
+  return AddVar(obj, true, 1.0, std::move(name));
 }
 
 int MipModel::AddConstraint(lp::Row row) {
@@ -50,7 +51,7 @@ double MipModel::ObjectiveValue(const std::vector<double>& x) const {
 bool MipModel::IsFeasible(const std::vector<double>& x, double tol) const {
   if (x.size() != objective_.size()) return false;
   for (size_t i = 0; i < x.size(); ++i) {
-    if (x[i] < -tol) return false;
+    if (x[i] < -tol || x[i] > upper_[i] + tol) return false;
     if (is_integer_[i] && std::fabs(x[i] - std::round(x[i])) > tol) return false;
   }
   for (const lp::Row& row : rows_) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -15,7 +16,9 @@ TEST(MipModelTest, VarAndRowBookkeeping) {
   int x = m.AddBinaryVar(2.0, "x");
   int y = m.AddContinuousVar(1.0, "y");
   EXPECT_EQ(m.num_vars(), 2);
-  EXPECT_EQ(m.num_rows(), 1);  // x <= 1 bound row
+  EXPECT_EQ(m.num_rows(), 0);  // x <= 1 is a bound, not a row
+  EXPECT_EQ(m.upper(x), 1.0);
+  EXPECT_EQ(m.upper(y), std::numeric_limits<double>::infinity());
   EXPECT_TRUE(m.is_integer(x));
   EXPECT_FALSE(m.is_integer(y));
   EXPECT_EQ(m.name(x), "x");
