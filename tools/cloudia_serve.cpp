@@ -152,19 +152,25 @@ Result<ParsedRequest> ParseRequestLine(const std::string& line,
     }
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
+    // The whole token must parse: std::stoi/std::stod stop at the first
+    // bad character, which would read "nodes=4abc" as 4.
     auto as_int = [&]() -> Result<int> {
       try {
-        return std::stoi(value);
+        size_t used = 0;
+        int v = std::stoi(value, &used);
+        if (used == value.size()) return v;
       } catch (...) {
-        return Status::InvalidArgument(key + "=" + value + ": not a number");
       }
+      return Status::InvalidArgument(key + "=" + value + ": not an integer");
     };
     auto as_double = [&]() -> Result<double> {
       try {
-        return std::stod(value);
+        size_t used = 0;
+        double v = std::stod(value, &used);
+        if (used == value.size()) return v;
       } catch (...) {
-        return Status::InvalidArgument(key + "=" + value + ": not a number");
       }
+      return Status::InvalidArgument(key + "=" + value + ": not a number");
     };
     // NaN fails every range check downstream, so "duration=nan" would
     // silently measure for the default duration; the range itself is
@@ -323,6 +329,13 @@ Result<ParsedRequest> ParseRequestLine(const std::string& line,
       }
     } else if (key == "budget") {
       CLOUDIA_ASSIGN_OR_RETURN(req.solve.time_budget_s, as_double());
+      if (!std::isfinite(req.solve.time_budget_s) ||
+          req.solve.time_budget_s < 0) {
+        return Status::InvalidArgument(
+            "budget=" + value +
+            ": time budget must be finite and >= 0 seconds "
+            "(valid range: [0, inf))");
+      }
     } else if (key == "clusters") {
       CLOUDIA_ASSIGN_OR_RETURN(req.solve.cost_clusters, as_int());
     } else if (key == "r1-samples") {
