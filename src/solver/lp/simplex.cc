@@ -369,7 +369,17 @@ void Simplex::Pivot(int q, int leave, State leave_state) {
     }
     const double sigma = corner - ckb;
     CLOUDIA_CHECK(sigma != 0.0);
-    k_.resize(static_cast<size_t>((k + 1) * n_));
+    if (k + 1 > k_stride_) {
+      // Grow K's row stride geometrically; k never exceeds n_.
+      const int stride = std::min(n_, std::max(2 * k_stride_, 8));
+      std::vector<double> grown(static_cast<size_t>(stride) * static_cast<size_t>(stride));
+      for (int p = 0; p < k; ++p) {
+        std::copy_n(k_.begin() + static_cast<std::ptrdiff_t>(p) * k_stride_, k,
+                    grown.begin() + static_cast<std::ptrdiff_t>(p) * stride);
+      }
+      k_.swap(grown);
+      k_stride_ = stride;
+    }
     for (int p = 0; p < k; ++p) {
       const double f = work_[static_cast<size_t>(p)] / sigma;
       if (f != 0.0) {
@@ -461,6 +471,7 @@ void Simplex::ResetToSlackBasis() {
   basic_s_.clear();
   tight_r_.clear();
   k_.clear();
+  k_stride_ = 0;
   updates_since_reinvert_ = 0;
 }
 

@@ -68,14 +68,9 @@ class Simplex {
   /// One structural column per objective entry, each with bounds [0, inf).
   explicit Simplex(std::vector<double> objective);
 
-  int num_vars() const { return n_; }
-  int num_rows() const { return static_cast<int>(row_start_.size()) - 1; }
-
   /// Sets the bounds of structural column `var`; requires lo <= hi. Keeps
   /// the basis: a nonbasic column moves to the matching finite bound.
   void SetBounds(int var, double lo, double hi);
-  double lower(int var) const { return lo_[static_cast<size_t>(var)]; }
-  double upper(int var) const { return hi_[static_cast<size_t>(var)]; }
 
   /// Appends a row with its logical column basic, which extends the current
   /// basis (and keeps it dual feasible).
@@ -102,6 +97,7 @@ class Simplex {
   };
   enum class Phase { kOptimal, kInfeasible, kUnbounded, kLimit, kPrimal };
 
+  int num_rows() const { return static_cast<int>(row_start_.size()) - 1; }
   int Logical(int row) const { return n_ + row; }
   RowView RowAt(int row) const {
     const size_t begin = row_start_[static_cast<size_t>(row)];
@@ -152,8 +148,11 @@ class Simplex {
   bool Reinvert();
   void ResetToSlackBasis();
 
-  double& K(int p, int t) { return k_[static_cast<size_t>(p * n_ + t)]; }
-  double K(int p, int t) const { return k_[static_cast<size_t>(p * n_ + t)]; }
+  double& K(int p, int t) { return k_[Index(p, t)]; }
+  double K(int p, int t) const { return k_[Index(p, t)]; }
+  size_t Index(int p, int t) const {
+    return static_cast<size_t>(p) * static_cast<size_t>(k_stride_) + static_cast<size_t>(t);
+  }
 
   int n_ = 0;
   std::vector<double> cost_;   // size n_ + m (logicals cost 0)
@@ -171,6 +170,7 @@ class Simplex {
   std::vector<int> pos_s_;     // column -> position in S, or -1
   std::vector<int> pos_r_;     // row -> position in R, or -1
   std::vector<double> k_;      // K = A[R, S]^-1, row p (S), column t (R)
+  int k_stride_ = 0;           // row stride of k_, >= k
   int updates_since_reinvert_ = 0;
   int64_t iterations_ = 0;
   // Scratch.
