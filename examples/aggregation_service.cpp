@@ -19,12 +19,13 @@ int main(int argc, char** argv) {
               tree.num_edges());
 
   cloudia::AdvisorConfig config;
-  config.objective = cloudia::deploy::Objective::kLongestPath;
-  config.method = cloudia::deploy::Method::kMip;
-  config.cost_clusters = 0;  // clustering does not help LPNDP (paper Fig. 9)
-  config.search_budget_s = 10.0;
-  config.measure_duration_s = 90.0;
-  config.seed = seed;
+  config.session.measure_duration_s = 90.0;
+  config.session.seed = seed;
+  config.solve.objective = cloudia::deploy::Objective::kLongestPath;
+  config.solve.method = "mip";
+  config.solve.cost_clusters = 0;  // clustering does not help LPNDP (Fig. 9)
+  config.solve.time_budget_s = 10.0;
+  config.solve.seed = seed;
 
   cloudia::Advisor advisor(&cloud, config);
   auto report = advisor.Run(tree);

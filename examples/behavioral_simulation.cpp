@@ -16,12 +16,11 @@ int main(int argc, char** argv) {
   cloudia::graph::CommGraph mesh = cloudia::graph::Mesh2D(10, 10);
 
   cloudia::AdvisorConfig config;
-  config.objective = cloudia::deploy::Objective::kLongestLink;
-  config.method = cloudia::deploy::Method::kCp;
-  config.cost_clusters = 20;
-  config.search_budget_s = 10.0;
-  config.measure_duration_s = 120.0;
-  config.seed = seed;
+  config.session.measure_duration_s = 120.0;
+  config.session.seed = seed;
+  config.solve.method = "cp";  // longest link, k = 20 cost clusters
+  config.solve.time_budget_s = 10.0;
+  config.solve.seed = seed;
 
   cloudia::Advisor advisor(&cloud, config);
   auto report = advisor.Run(mesh);

@@ -2,9 +2,7 @@
 
 #include <utility>
 
-#include "cloudia/session.h"
 #include "common/check.h"
-#include "deploy/solver_registry.h"
 
 namespace cloudia {
 
@@ -14,24 +12,12 @@ Advisor::Advisor(net::CloudSimulator* cloud, AdvisorConfig config)
 }
 
 Result<AdvisorReport> Advisor::Run(const graph::CommGraph& app_graph) {
-  SessionOptions options;
-  options.over_allocation = config_.over_allocation;
-  options.protocol = config_.protocol;
-  options.metric = config_.metric;
-  options.measure_duration_s = config_.measure_duration_s;
-  options.probe_bytes = config_.probe_bytes;
-  options.seed = config_.seed;
-
-  DeploymentSession session(cloud_, &app_graph, options);
-
-  SolveSpec spec;
-  spec.method = deploy::MethodKey(config_.method);
-  spec.objective = config_.objective;
-  spec.time_budget_s = config_.search_budget_s;
-  spec.cost_clusters = config_.cost_clusters;
-  spec.seed = config_.seed;
-
-  CLOUDIA_ASSIGN_OR_RETURN(SessionSolve solve, session.Solve(spec));
+  if (config_.solve.app != nullptr) {
+    return Status::InvalidArgument(
+        "AdvisorConfig::solve.app must be null: Run() solves for its argument");
+  }
+  DeploymentSession session(cloud_, &app_graph, config_.session);
+  CLOUDIA_ASSIGN_OR_RETURN(SessionSolve solve, session.Solve(config_.solve));
   CLOUDIA_ASSIGN_OR_RETURN(std::vector<net::Instance> terminated,
                            session.Terminate(solve));
 

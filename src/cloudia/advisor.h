@@ -26,41 +26,24 @@
 #ifndef CLOUDIA_CLOUDIA_ADVISOR_H_
 #define CLOUDIA_CLOUDIA_ADVISOR_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "cloudia/session.h"
 #include "common/result.h"
-#include "deploy/solve.h"
-#include "measure/protocols.h"
 #include "netsim/cloud.h"
 
 namespace cloudia {
 
-/// Tuning knobs of the pipeline; the defaults follow the paper's evaluation
-/// setup (10% over-allocation, staged measurement, mean-latency metric,
-/// CP with k=20 cost clusters for longest link).
+/// Tuning knobs of the pipeline: the session's allocation and measurement
+/// options plus the one solve. The defaults follow the paper's evaluation
+/// setup (10% over-allocation, staged measurement, mean-latency metric, CP
+/// with k=20 cost clusters for longest link). The session and the solve
+/// carry their own seeds. `solve.app` must stay null: Run() solves for the
+/// graph it is given.
 struct AdvisorConfig {
-  /// Extra instances allocated beyond the application's node count
-  /// (paper Sect. 6.4 uses 10%; Fig. 13 sweeps 0-50%).
-  double over_allocation = 0.10;
-
-  deploy::Objective objective = deploy::Objective::kLongestLink;
-  deploy::Method method = deploy::Method::kCp;
-  /// k-means link-cost clusters for the CP/MIP solvers (paper: k=20 best for
-  /// LLNDP-CP, none for LPNDP-MIP). Ignored by greedy/random methods.
-  int cost_clusters = 20;
-  /// Wall-clock budget for the deployment search.
-  double search_budget_s = 60.0;
-
-  measure::Protocol protocol = measure::Protocol::kStaged;
-  measure::CostMetric metric = measure::CostMetric::kMean;
-  /// Virtual measurement duration; <= 0 selects the paper's rule of
-  /// 5 minutes per 100 instances, scaled linearly (Sect. 6.2).
-  double measure_duration_s = 0.0;
-  double probe_bytes = net::kDefaultProbeBytes;
-
-  uint64_t seed = 1;
+  SessionOptions session;
+  SolveSpec solve;
 };
 
 /// Everything the pipeline produced, including the baseline the paper

@@ -75,39 +75,18 @@ struct SessionOptions {
   obs::ObsConfig obs;
 };
 
-/// One Solve() request: which registered solver to run, under which
-/// objective and budget, with optional observation and cancellation.
-struct SolveSpec {
+/// One Solve() request: the solver knobs (deploy::NdpSolveOptions) plus
+/// which registered solver to run and what only a session solve adds --
+/// the application graph, observation, cancellation, and a shared
+/// incumbent. Unlike the bare options, a spec defaults to the paper's best
+/// LLNDP-CP configuration of k = 20 cost clusters.
+struct SolveSpec : deploy::NdpSolveOptions {
+  SolveSpec() { cost_clusters = 20; }
+
   /// Registry name, case-insensitive ("g1", "g2", "r1", "r2", "cp", "mip",
-  /// "local", or any solver registered at startup).
+  /// "local", or any solver registered at startup). The service also
+  /// accepts "auto" (service/advisor_service.h).
   std::string method = "cp";
-  /// Primary latency objective plus optional weighted price / migration
-  /// terms (deploy/cost.h); a bare Objective enum converts to the degenerate
-  /// latency-only spec.
-  deploy::ObjectiveSpec objective;
-  /// Wall-clock budget for R2 / CP / MIP (ignored by G1/G2/R1).
-  double time_budget_s = 60.0;
-  /// k-means cost clusters for CP / MIP; 0 = no clustering (paper: k=20 best
-  /// for LLNDP-CP, none for LPNDP-MIP).
-  int cost_clusters = 20;
-  /// Samples for R1 (the paper uses 1,000).
-  int r1_samples = 1000;
-  /// Worker threads for R2 and the portfolio; 0 = hardware concurrency.
-  int threads = 0;
-  /// Member solvers for method "portfolio" (registry names); empty selects
-  /// the default set ("cp", "mip", "local", "r2").
-  std::vector<std::string> portfolio_members;
-  uint64_t seed = 1;
-  /// Optional starting deployment for CP / MIP (empty = best of 10 random).
-  deploy::Deployment initial;
-  /// CP: warm-start iterations with the previous solution's values.
-  bool warm_start_hints = false;
-  /// Hier: instance clusters; 0 = auto (latency-threshold derived).
-  int hier_clusters = 0;
-  /// Hier: per-shard solver (registry name); empty = "local".
-  std::string hier_shard_solver;
-  /// Hier: accepted-step budget for the boundary polish.
-  int hier_polish_steps = 2000;
 
   /// Application graph for this solve; nullptr = the session's graph. Any
   /// graph whose node count fits the allocated instance pool is valid, so

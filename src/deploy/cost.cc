@@ -66,8 +66,7 @@ std::string ObjectiveSpecKey(const ObjectiveSpec& spec) {
   return key;
 }
 
-Status ValidateObjectiveSpec(const ObjectiveSpec& spec, int num_nodes,
-                             int num_instances) {
+Status ValidateObjectiveWeights(const ObjectiveSpec& spec) {
   if (!IsValidWeight(spec.price_weight)) {
     return Status::InvalidArgument(
         StrFormat("price weight %g is invalid: weights must be finite and "
@@ -80,6 +79,12 @@ Status ValidateObjectiveSpec(const ObjectiveSpec& spec, int num_nodes,
                   "and >= 0 (valid range: [0, inf))",
                   spec.migration_weight));
   }
+  return Status::OK();
+}
+
+Status ValidateObjectiveSpec(const ObjectiveSpec& spec, int num_nodes,
+                             int num_instances) {
+  CLOUDIA_RETURN_IF_ERROR(ValidateObjectiveWeights(spec));
   if (spec.price_weight > 0.0) {
     if (static_cast<int>(spec.instance_prices.size()) != num_instances) {
       return Status::InvalidArgument(StrFormat(

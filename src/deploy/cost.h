@@ -101,7 +101,12 @@ inline const char* ObjectiveName(const ObjectiveSpec& spec) {
 /// weights (or in the data behind them) never share a key.
 std::string ObjectiveSpecKey(const ObjectiveSpec& spec);
 
-/// Rejects non-finite or negative weights, missing/ill-sized price vectors,
+/// Rejects a non-finite or negative price or migration weight, naming the
+/// weight and its valid range. Needs no matrix, so front ends call it (via
+/// ValidateSolveOptions) before allocating anything.
+Status ValidateObjectiveWeights(const ObjectiveSpec& spec);
+
+/// ValidateObjectiveWeights, plus rejects missing/ill-sized price vectors,
 /// and ill-sized or out-of-range references, with errors naming the valid
 /// ranges. `num_nodes`/`num_instances` size the reference/price checks.
 Status ValidateObjectiveSpec(const ObjectiveSpec& spec, int num_nodes,

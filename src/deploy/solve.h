@@ -1,14 +1,14 @@
 // Facade over all node-deployment search methods (paper Sect. 4): one entry
-// point that dispatches through the SolverRegistry (deploy/solver_registry.h)
-// to greedy (G1/G2), randomized (R1/R2), CP threshold descent, or the MIP
-// encodings, honoring the paper's method/objective compatibility (CP is only
-// formulated for LLNDP, Sect. 4.4; greedy solves LLNDP and serves as a
-// heuristic for LPNDP, Sect. 4.5.2).
+// point that dispatches by name through the SolverRegistry
+// (deploy/solver_registry.h) to greedy (G1/G2), randomized (R1/R2), CP
+// threshold descent, the MIP encodings, or any solver registered at startup,
+// honoring the paper's method/objective compatibility (CP is only formulated
+// for LLNDP, Sect. 4.4; greedy solves LLNDP and serves as a heuristic for
+// LPNDP, Sect. 4.5.2).
 //
-// The Method enum names the built-in solvers for call sites that prefer an
-// enum over a registry name; dispatch itself is name-based, so solvers
-// registered at startup beyond this enum are reachable via the registry and
-// the staged cloudia::DeploymentSession without touching this facade.
+// NdpSolveOptions is the one declaration of the solver knobs: the staged
+// session's cloudia::SolveSpec extends it, and every front end validates it
+// through ValidateSolveOptions.
 #ifndef CLOUDIA_DEPLOY_SOLVE_H_
 #define CLOUDIA_DEPLOY_SOLVE_H_
 
@@ -23,38 +23,15 @@
 
 namespace cloudia::deploy {
 
-enum class Method {
-  kGreedyG1,
-  kGreedyG2,
-  kRandomR1,
-  kRandomR2,
-  kCp,
-  kMip,
-  /// Extension beyond the paper: multi-start swap/move hill climbing
-  /// (deploy/local_search.h). Works for both objectives.
-  kLocalSearch,
-  /// Extension beyond the paper: races several registered solvers
-  /// concurrently against one shared incumbent (deploy/portfolio.h).
-  kPortfolio,
-  /// Extension beyond the paper: hierarchical divide-and-conquer for
-  /// 10k+-node problems -- cluster-decompose, coarse-assign, shard-solve in
-  /// parallel, polish the seams (hier/solver.h). Works for both objectives.
-  kHier,
-};
-
-/// Display name ("G1", "CP", "LocalSearch"); round-trips with ParseMethod
-/// (deploy/solver_registry.h).
-const char* MethodName(Method method);
-
 struct NdpSolveOptions {
   /// Primary latency objective plus optional weighted price / migration
   /// terms (deploy/cost.h). A bare Objective enum converts implicitly to the
   /// degenerate latency-only spec, which is bit-identical to the pre-spec
   /// behavior.
   ObjectiveSpec objective;
-  Method method = Method::kCp;
-  /// Wall-clock budget for R2 / CP / MIP (ignored by G1/G2/R1). Ignored by
-  /// the SolveContext overload, whose context carries the deadline.
+  /// Wall-clock budget for R2 / CP / MIP (ignored by G1/G2/R1); finite and
+  /// >= 0. Ignored by the SolveContext overload, whose context carries the
+  /// deadline.
   double time_budget_s = 60.0;
   /// k-means cost clusters for CP / MIP; 0 = no clustering. The paper's best
   /// configuration is k=20 for LLNDP-CP and no clustering for LPNDP-MIP.
@@ -81,18 +58,18 @@ struct NdpSolveOptions {
   int hier_polish_steps = 2000;
 };
 
-/// Runs the selected method under `context` (deadline, cancellation,
-/// progress). Fails on invalid input or on method/objective combinations the
-/// paper does not define (CP for LPNDP).
-Result<NdpSolveResult> SolveNodeDeployment(const graph::CommGraph& graph,
-                                           const CostMatrix& costs,
-                                           const NdpSolveOptions& options,
-                                           SolveContext& context);
+/// Checks every knob against its valid range: a finite, non-negative time
+/// budget, non-negative thread and cluster counts, at least one R1 sample, a
+/// non-negative hier polish budget, and finite, non-negative objective
+/// weights (ValidateObjectiveWeights). The error names the field as the
+/// front ends spell it and its valid range. Does not check the registry
+/// names (method, portfolio members, hier shard solver).
+Status ValidateSolveOptions(const NdpSolveOptions& options);
 
-/// Name-based variant: dispatches to any solver registered under `method`
-/// (case-insensitive registry key or display name), including solvers beyond
-/// the Method enum. The enum overload is a thin wrapper over this;
-/// `options.method` is ignored here.
+/// Runs the solver registered under `method` (case-insensitive registry key
+/// or display name) under `context` (deadline, cancellation, progress).
+/// Fails on an unknown name, on invalid input, or on method/objective
+/// combinations the paper does not define (CP for LPNDP).
 Result<NdpSolveResult> SolveNodeDeploymentByName(const graph::CommGraph& graph,
                                                  const CostMatrix& costs,
                                                  std::string_view method,
@@ -101,9 +78,10 @@ Result<NdpSolveResult> SolveNodeDeploymentByName(const graph::CommGraph& graph,
 
 /// Convenience overload: budget-only context built from
 /// `options.time_budget_s`, no cancellation, no progress callback.
-Result<NdpSolveResult> SolveNodeDeployment(const graph::CommGraph& graph,
-                                           const CostMatrix& costs,
-                                           const NdpSolveOptions& options);
+Result<NdpSolveResult> SolveNodeDeploymentByName(const graph::CommGraph& graph,
+                                                 const CostMatrix& costs,
+                                                 std::string_view method,
+                                                 const NdpSolveOptions& options);
 
 }  // namespace cloudia::deploy
 

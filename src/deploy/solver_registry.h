@@ -1,11 +1,12 @@
-// Name-indexed registry of node-deployment solvers plus the canonical
-// method/objective name round-trips shared by the facade, the CLI, and the
-// staged session API.
+// Name-indexed registry of node-deployment solvers plus the objective name
+// round-trip shared by the facade, the front ends, and the staged session
+// API. Solvers are addressed by registry name everywhere; a solver's display
+// name ("CP", "LocalSearch") comes from NdpSolver::display_name().
 //
 // The global registry self-populates with the paper's methods (G1/G2, R1/R2,
 // CP, MIP) and the local-search extension on first use; additional solvers
 // can be registered at startup and become immediately usable by name
-// everywhere (deploy::SolveNodeDeployment, cloudia::DeploymentSession,
+// everywhere (deploy::SolveNodeDeploymentByName, cloudia::DeploymentSession,
 // cloudia_cli --method=...).
 #ifndef CLOUDIA_DEPLOY_SOLVER_REGISTRY_H_
 #define CLOUDIA_DEPLOY_SOLVER_REGISTRY_H_
@@ -50,15 +51,6 @@ class SolverRegistry {
 /// Registers the built-in methods into `registry`; ignores names already
 /// present (so it is idempotent and composes with custom registrations).
 void RegisterBuiltinSolvers(SolverRegistry& registry);
-
-/// Canonical registry key for a facade Method ("g1", "cp", "local", ...).
-const char* MethodKey(Method method);
-
-/// Parses a method name as the CLI and config files spell it. Accepts the
-/// registry key ("cp"), the display name ("CP", "LocalSearch"), and common
-/// aliases ("local"), case-insensitively. Round-trips with MethodName and
-/// MethodKey. Unknown names fail with InvalidArgument listing the options.
-Result<Method> ParseMethod(std::string_view name);
 
 /// Parses an objective name: "longest-link" / "LongestLink" / "ll" and
 /// "longest-path" / "LongestPath" / "lp". Round-trips with ObjectiveName.

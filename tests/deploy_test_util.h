@@ -4,12 +4,20 @@
 
 #include <functional>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "deploy/cost.h"
+#include "deploy/solver_registry.h"
 
 namespace cloudia::deploy {
+
+/// Display name of a registered solver ("g1" -> "G1"), for parameterized
+/// test names and failure messages.
+inline std::string SolverDisplayName(const std::string& method) {
+  return SolverRegistry::Global().Find(method)->display_name();
+}
 
 /// Random symmetric-ish cost matrix in [lo, hi] ms with zero diagonal.
 inline CostMatrix RandomCosts(int m, Rng& rng, double lo = 0.2,

@@ -11,9 +11,10 @@ namespace {
 
 AdvisorConfig FastConfig() {
   AdvisorConfig cfg;
-  cfg.search_budget_s = 2.0;
-  cfg.measure_duration_s = 20.0;  // virtual seconds; keeps tests quick
-  cfg.seed = 7;
+  cfg.solve.time_budget_s = 2.0;
+  cfg.session.measure_duration_s = 20.0;  // virtual seconds; keeps tests quick
+  cfg.session.seed = 7;
+  cfg.solve.seed = 7;
   return cfg;
 }
 
@@ -52,7 +53,7 @@ TEST(AdvisorTest, OptimizedDeploymentImprovesRealWorkload) {
   net::CloudSimulator cloud(net::AmazonEc2Profile(), 13);
   graph::CommGraph app = graph::Mesh2D(5, 6);
   AdvisorConfig cfg = FastConfig();
-  cfg.search_budget_s = 3.0;
+  cfg.solve.time_budget_s = 3.0;
   Advisor advisor(&cloud, cfg);
   auto report = advisor.Run(app);
   ASSERT_TRUE(report.ok());
@@ -77,10 +78,17 @@ TEST(AdvisorTest, RejectsDegenerateInput) {
   EXPECT_FALSE(advisor.Run(*one).ok());
 
   AdvisorConfig bad = FastConfig();
-  bad.over_allocation = -0.5;
+  bad.session.over_allocation = -0.5;
   Advisor advisor2(&cloud, bad);
   graph::CommGraph app = graph::Mesh2D(2, 2);
   EXPECT_FALSE(advisor2.Run(app).ok());
+
+  // The report describes the graph Run() was given, so a second graph in
+  // the solve spec is rejected rather than silently solved instead.
+  AdvisorConfig other_graph = FastConfig();
+  other_graph.solve.app = &app;
+  Advisor advisor3(&cloud, other_graph);
+  EXPECT_FALSE(advisor3.Run(app).ok());
 }
 
 TEST(AdvisorTest, ZeroOverAllocationStillImprovesViaInjection) {
@@ -89,7 +97,7 @@ TEST(AdvisorTest, ZeroOverAllocationStillImprovesViaInjection) {
   net::CloudSimulator cloud(net::AmazonEc2Profile(), 19);
   graph::CommGraph app = graph::Mesh2D(4, 5);
   AdvisorConfig cfg = FastConfig();
-  cfg.over_allocation = 0.0;
+  cfg.session.over_allocation = 0.0;
   Advisor advisor(&cloud, cfg);
   auto report = advisor.Run(app);
   ASSERT_TRUE(report.ok());
@@ -101,17 +109,14 @@ TEST(AdvisorTest, ZeroOverAllocationStillImprovesViaInjection) {
 TEST(AdvisorTest, WorksWithAllSearchMethods) {
   net::CloudSimulator cloud(net::AmazonEc2Profile(), 23);
   graph::CommGraph app = graph::Mesh2D(3, 4);
-  for (deploy::Method method :
-       {deploy::Method::kGreedyG1, deploy::Method::kGreedyG2,
-        deploy::Method::kRandomR1, deploy::Method::kRandomR2,
-        deploy::Method::kCp, deploy::Method::kMip}) {
+  for (const char* method : {"g1", "g2", "r1", "r2", "cp", "mip"}) {
     AdvisorConfig cfg = FastConfig();
-    cfg.method = method;
-    cfg.search_budget_s = 1.0;
+    cfg.solve.method = method;
+    cfg.solve.time_budget_s = 1.0;
     Advisor advisor(&cloud, cfg);
     auto report = advisor.Run(app);
-    ASSERT_TRUE(report.ok()) << deploy::MethodName(method);
-    EXPECT_EQ(report->placement.size(), 12u) << deploy::MethodName(method);
+    ASSERT_TRUE(report.ok()) << method;
+    EXPECT_EQ(report->placement.size(), 12u) << method;
   }
 }
 
@@ -119,10 +124,10 @@ TEST(AdvisorTest, LongestPathObjectiveWithTree) {
   net::CloudSimulator cloud(net::AmazonEc2Profile(), 29);
   graph::CommGraph tree = graph::AggregationTree(3, 3);  // 13 nodes
   AdvisorConfig cfg = FastConfig();
-  cfg.objective = deploy::Objective::kLongestPath;
-  cfg.method = deploy::Method::kMip;
-  cfg.cost_clusters = 0;  // paper: clustering does not help LPNDP
-  cfg.search_budget_s = 2.0;
+  cfg.solve.objective = deploy::Objective::kLongestPath;
+  cfg.solve.method = "mip";
+  cfg.solve.cost_clusters = 0;  // paper: clustering does not help LPNDP
+  cfg.solve.time_budget_s = 2.0;
   Advisor advisor(&cloud, cfg);
   auto report = advisor.Run(tree);
   ASSERT_TRUE(report.ok()) << report.status().ToString();

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -410,6 +411,79 @@ TEST(AdvisorServiceTest, WeightOnlyDifferencesNeverCoalesceOrShareWarmStarts) {
   EXPECT_FALSE(a.warm_started);
   EXPECT_FALSE(b.warm_started);
   EXPECT_EQ(service.stats().warm_starts, 0u);
+}
+
+TEST(AdvisorServiceTest, EveryFingerprintedFieldSeparatesRequests) {
+  // The table-driven generalization of the weight-only regression above:
+  // one row per SolveSpec field joined into AdvisorService::Fingerprint,
+  // plus the request's priority and deadline. A request differing from the
+  // base in that field alone must not coalesce with anything, and its
+  // byte-identical twin must coalesce onto it. g2 ignores most of these
+  // knobs, so every solve is instant; the fingerprint must still tell the
+  // requests apart.
+  graph::CommGraph app = graph::Mesh2D(3, 4);
+  struct Case {
+    const char* field;
+    std::function<void(DeploymentRequest&)> change;
+  };
+  const std::vector<Case> cases = {
+      {"method", [](DeploymentRequest& r) { r.solve.method = "g1"; }},
+      {"objective.price_weight",
+       [](DeploymentRequest& r) { r.solve.objective.price_weight = 0.5; }},
+      {"objective.migration_weight",
+       [](DeploymentRequest& r) { r.solve.objective.migration_weight = 0.5; }},
+      {"time_budget_s",
+       [](DeploymentRequest& r) { r.solve.time_budget_s = 0.75; }},
+      {"cost_clusters", [](DeploymentRequest& r) { r.solve.cost_clusters = 4; }},
+      {"r1_samples", [](DeploymentRequest& r) { r.solve.r1_samples = 10; }},
+      {"threads", [](DeploymentRequest& r) { r.solve.threads = 1; }},
+      {"seed", [](DeploymentRequest& r) { r.solve.seed = 4; }},
+      {"warm_start_hints",
+       [](DeploymentRequest& r) { r.solve.warm_start_hints = true; }},
+      {"hier_clusters", [](DeploymentRequest& r) { r.solve.hier_clusters = 3; }},
+      {"hier_shard_solver",
+       [](DeploymentRequest& r) { r.solve.hier_shard_solver = "cp"; }},
+      {"hier_polish_steps",
+       [](DeploymentRequest& r) { r.solve.hier_polish_steps = 10; }},
+      {"portfolio_members",
+       [](DeploymentRequest& r) { r.solve.portfolio_members = {"cp"}; }},
+      {"initial",
+       [](DeploymentRequest& r) {
+         r.solve.initial = {11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0};
+       }},
+      {"priority", [](DeploymentRequest& r) { r.priority = 2; }},
+      {"deadline", [](DeploymentRequest& r) { r.deadline_s = 600.0; }},
+  };
+
+  AdvisorService::Options options;
+  options.threads = 1;
+  options.start_paused = true;
+  AdvisorService service(options);
+  RequestHandle base = service.Submit(BasicRequest(&app));
+  std::vector<std::pair<RequestHandle, RequestHandle>> submitted;
+  for (const Case& c : cases) {
+    DeploymentRequest variant = BasicRequest(&app);
+    c.change(variant);
+    DeploymentRequest twin = variant;
+    RequestHandle first = service.Submit(std::move(variant));
+    submitted.emplace_back(std::move(first), service.Submit(std::move(twin)));
+  }
+  service.Resume();
+
+  const ServiceResult& b = base.Wait();
+  ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+  EXPECT_FALSE(b.coalesced);
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const ServiceResult& variant = submitted[i].first.Wait();
+    const ServiceResult& twin = submitted[i].second.Wait();
+    ASSERT_TRUE(variant.status.ok())
+        << cases[i].field << ": " << variant.status.ToString();
+    ASSERT_TRUE(twin.status.ok())
+        << cases[i].field << ": " << twin.status.ToString();
+    EXPECT_FALSE(variant.coalesced) << cases[i].field;
+    EXPECT_TRUE(twin.coalesced) << cases[i].field;
+  }
+  EXPECT_EQ(service.stats().coalesced, cases.size());
 }
 
 TEST(AdvisorServiceTest, ProgressReportsStagesAndIncumbents) {

@@ -3,6 +3,7 @@
 #include "deploy/local_search.h"
 #include "deploy/random_search.h"
 #include "deploy/solve.h"
+#include "deploy/solver_registry.h"
 #include "deploy_test_util.h"
 #include "graph/templates.h"
 
@@ -94,12 +95,12 @@ TEST(LocalSearchTest, UsableThroughTheFacade) {
   graph::CommGraph mesh = graph::Mesh2D(3, 3);
   CostMatrix costs = RandomCosts(11, master);
   NdpSolveOptions opts;
-  opts.method = Method::kLocalSearch;
   opts.time_budget_s = 1.0;
   opts.seed = 13;
-  auto r = SolveNodeDeployment(mesh, costs, opts);
+  auto r = SolveNodeDeploymentByName(mesh, costs, "local", opts);
   ASSERT_TRUE(r.ok());
-  EXPECT_STREQ(MethodName(Method::kLocalSearch), "LocalSearch");
+  EXPECT_STREQ(SolverRegistry::Global().Find("local")->display_name(),
+               "LocalSearch");
   EXPECT_TRUE(ValidateDeployment(mesh, r->deployment, costs,
                                  Objective::kLongestLink)
                   .ok());

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <thread>
 
 #include "cloudia/advisor.h"
@@ -101,6 +102,30 @@ TEST(DeploymentSessionTest, StageMisuseIsACleanError) {
   auto abandoned = session2.Terminate();
   ASSERT_TRUE(abandoned.ok());
   EXPECT_EQ(abandoned->size(), session2.allocated().size());
+}
+
+TEST(DeploymentSessionTest, OutOfRangeKnobsFailBeforeAllocating) {
+  net::CloudSimulator cloud(net::AmazonEc2Profile(), 11);
+  graph::CommGraph app = graph::Mesh2D(2, 3);
+  DeploymentSession session(&cloud, &app, FastOptions());
+  SolveSpec spec;
+  spec.method = "g2";
+  spec.time_budget_s = std::nan("");
+  auto r = session.Solve(spec);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("valid range: [0, inf)"),
+            std::string::npos)
+      << r.status().message();
+  EXPECT_FALSE(session.allocated_stage_done());
+
+  spec.time_budget_s = 1.0;
+  spec.objective.migration_weight = -1.0;
+  EXPECT_FALSE(session.Solve(spec).ok());
+  EXPECT_FALSE(session.allocated_stage_done());
+
+  spec.objective.migration_weight = 0.0;
+  EXPECT_TRUE(session.Solve(spec).ok());
 }
 
 TEST(DeploymentSessionTest, OneMeasurementServesMultipleAppGraphs) {
@@ -378,10 +403,10 @@ TEST(DeploymentSessionTest, AdvisorWrapperMatchesSessionPipeline) {
   // The one-shot Advisor is a thin wrapper over DeploymentSession: same
   // cloud seed + config must produce the identical deployment either way.
   AdvisorConfig config;
-  config.method = deploy::Method::kGreedyG2;  // deterministic given the seed
-  config.search_budget_s = 1.0;
-  config.measure_duration_s = 20.0;
-  config.seed = 7;
+  config.session = FastOptions(7);
+  config.solve.method = "g2";  // deterministic given the seed
+  config.solve.time_budget_s = 1.0;
+  config.solve.seed = 7;
   graph::CommGraph app = graph::Mesh2D(4, 5);
 
   net::CloudSimulator cloud_a(net::AmazonEc2Profile(), 41);
@@ -390,11 +415,11 @@ TEST(DeploymentSessionTest, AdvisorWrapperMatchesSessionPipeline) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
   net::CloudSimulator cloud_b(net::AmazonEc2Profile(), 41);
-  DeploymentSession session(&cloud_b, &app, FastOptions(config.seed));
+  DeploymentSession session(&cloud_b, &app, FastOptions(7));
   SolveSpec spec;
   spec.method = "g2";
-  spec.time_budget_s = config.search_budget_s;
-  spec.seed = config.seed;
+  spec.time_budget_s = 1.0;
+  spec.seed = 7;
   auto solve = session.Solve(spec);
   ASSERT_TRUE(solve.ok()) << solve.status().ToString();
 

@@ -22,8 +22,6 @@
 // Only metrics sharing a name are compared, and names embed their
 // configuration (e.g. "hier.q256.ratio"), so snapshots taken at different
 // settings simply do not intersect instead of comparing apples to oranges.
-// The legacy BENCH_6.json (pre-unified hier-only schema) is understood as a
-// baseline via a read-time shim.
 //
 // Flags: --bench-dir=DIR (default "bench"), --out=PATH (default "-"),
 // --merge=CSV, --current=PATH, --check, --baseline=PATH, --tolerance=F,
@@ -193,29 +191,6 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
-// Legacy pre-unified BENCH_6.json: hier-only, quality/pass fields at the top
-// level. Mapped onto the same metric names bench_hier_scalability emits
-// today so BENCH_6 keeps working as a --baseline.
-void ShimLegacyHier(const Json& root, std::vector<Metric>* out) {
-  if (const Json* quality = root.Find("quality")) {
-    for (const Json& q : quality->items) {
-      const Json* n = q.Find("n");
-      const Json* ratio = q.Find("ratio");
-      if (n == nullptr || ratio == nullptr) continue;
-      out->push_back({"hier.q" + std::to_string(static_cast<int>(n->number)) +
-                          ".ratio",
-                      ratio->number, "x", "lower"});
-    }
-  }
-  if (const Json* det = root.Find("deterministic")) {
-    out->push_back({"hier.deterministic", det->boolean ? 1.0 : 0.0, "bool",
-                    "near"});
-  }
-  if (const Json* pass = root.Find("pass")) {
-    out->push_back({"hier.pass", pass->boolean ? 1.0 : 0.0, "bool", "near"});
-  }
-}
-
 bool ReadMetricsFile(const std::string& path, std::vector<Metric>* out) {
   std::string text;
   if (!ReadFile(path, &text)) {
@@ -229,8 +204,9 @@ bool ReadMetricsFile(const std::string& path, std::vector<Metric>* out) {
   }
   const Json* metrics = root.Find("metrics");
   if (metrics == nullptr) {
-    ShimLegacyHier(root, out);
-    return true;
+    std::fprintf(stderr, "error: %s has no \"metrics\" array\n",
+                 path.c_str());
+    return false;
   }
   for (const Json& m : metrics->items) {
     const Json* name = m.Find("name");

@@ -11,7 +11,6 @@
 //   cloudia_cli advise --nodes=100 --graph=mesh --method=cp --budget=10
 //   cloudia_cli measure --instances=50 --minutes=5 --out=costs.txt
 //   cloudia_cli solve --costs=costs.txt --graph=tree --objective=longest-path
-#include <cctype>
 #include <cstdio>
 #include <string>
 
@@ -29,26 +28,7 @@ namespace {
 using namespace cloudia;
 
 using tools::GraphByName;
-using tools::SplitCommaList;
-using tools::ValidateObjectiveWeight;
-using tools::ValidateThreads;
-
-// Canonicalizes --portfolio members via the registry; prints the error and
-// returns false on unknown or duplicate names.
-bool ValidatePortfolio(const std::string& csv,
-                       std::vector<std::string>* members) {
-  auto validated = deploy::ValidatePortfolioMembers(
-      deploy::SolverRegistry::Global(), SplitCommaList(csv));
-  if (!validated.ok()) {
-    std::fprintf(stderr, "--portfolio: %s\n",
-                 validated.status().ToString().c_str());
-    return false;
-  }
-  *members = std::move(validated).value();
-  return true;
-}
-
-std::string KnownMethods() { return tools::KnownSolverNames(" | "); }
+using tools::RejectUnknownFlags;
 
 // Observability sinks requested with --trace/--metrics. Sinks are attached
 // only when their flag is given, so the default run pays nothing; Dump()
@@ -110,7 +90,7 @@ void PrintUsage() {
       "  --migration-weight=W weight (ms per move) on nodes placed away\n"
       "                       from the default placement (default 0)\n"
       "  --method=NAME        %s\n"
-      "  --budget=SECONDS     search budget (default 10)\n"
+      "  --budget=SECONDS     search budget (default 10; finite, >= 0)\n"
       "  --clusters=K         cost clusters for cp/mip (default 20)\n"
       "  --threads=N          worker threads for r2/portfolio (default:\n"
       "                       hardware concurrency)\n"
@@ -125,13 +105,19 @@ void PrintUsage() {
       "  --trace=FILE         write a Chrome trace_event JSON of the run\n"
       "                       (open in chrome://tracing or Perfetto)\n"
       "  --metrics=FILE       write collected counters as bench-schema JSON\n"
-      "advise/measure flags:\n"
+      "advise flags:\n"
       "  --over-allocation=F  extra instance fraction (default 0.10)\n"
       "  --minutes=M          virtual measurement minutes (default auto)\n"
       "  --out=FILE           save the measured mean-cost matrix\n"
+      "measure flags (plus --seed, --provider):\n"
+      "  --instances=N        instances to allocate (default 50)\n"
+      "  --minutes=M          virtual measurement minutes (default 5)\n"
+      "  --out=FILE           where to save the matrix (default costs.txt)\n"
       "solve flags:\n"
-      "  --costs=FILE         cost matrix produced by 'measure'\n",
-      KnownMethods().c_str());
+      "  --costs=FILE         cost matrix produced by 'measure'\n"
+      "\n"
+      "A flag a mode does not read is rejected as unknown.\n",
+      tools::KnownSolverNames(" | ").c_str());
 }
 
 net::ProviderProfile ProviderByName(const std::string& name) {
@@ -140,65 +126,79 @@ net::ProviderProfile ProviderByName(const std::string& name) {
   return net::AmazonEc2Profile();
 }
 
+// Fills the solve knobs that advise and solve share, with the CLI's
+// defaults, and validates the whole spec: flag syntax, registry names,
+// method/objective compatibility and every knob's range.
+Result<SolveSpec> SolveSpecFromFlags(const Flags& flags) {
+  SolveSpec spec;
+  CLOUDIA_ASSIGN_OR_RETURN(const int64_t seed, flags.GetInt("seed", 1));
+  spec.seed = static_cast<uint64_t>(seed);
+  CLOUDIA_ASSIGN_OR_RETURN(spec.time_budget_s,
+                           flags.GetDouble("budget", 10.0));
+  CLOUDIA_ASSIGN_OR_RETURN(spec.cost_clusters, flags.GetInt("clusters", 20));
+  CLOUDIA_ASSIGN_OR_RETURN(spec.threads, flags.GetInt("threads", 0));
+  CLOUDIA_ASSIGN_OR_RETURN(spec.hier_clusters,
+                           flags.GetInt("hier-clusters", 0));
+  CLOUDIA_ASSIGN_OR_RETURN(spec.hier_polish_steps,
+                           flags.GetInt("hier-polish-steps", 2000));
+  spec.hier_shard_solver = flags.GetString("hier-shard-solver", "");
+  if (!spec.hier_shard_solver.empty()) {
+    CLOUDIA_RETURN_IF_ERROR(deploy::SolverRegistry::Global()
+                                .Require(spec.hier_shard_solver)
+                                .status());
+  }
+  CLOUDIA_ASSIGN_OR_RETURN(spec.objective.price_weight,
+                           flags.GetDouble("price-weight", 0.0));
+  CLOUDIA_ASSIGN_OR_RETURN(spec.objective.migration_weight,
+                           flags.GetDouble("migration-weight", 0.0));
+  CLOUDIA_ASSIGN_OR_RETURN(
+      spec.objective.primary,
+      deploy::ParseObjective(flags.GetString("objective", "longest-link")));
+  CLOUDIA_ASSIGN_OR_RETURN(
+      spec.portfolio_members,
+      deploy::ValidatePortfolioMembers(
+          deploy::SolverRegistry::Global(),
+          tools::SplitCommaList(flags.GetString("portfolio", ""))));
+  CLOUDIA_ASSIGN_OR_RETURN(const deploy::NdpSolver* solver,
+                           deploy::SolverRegistry::Global().Require(
+                               flags.GetString("method", "cp")));
+  if (!solver->Supports(spec.objective.primary)) {
+    return Status::InvalidArgument(
+        std::string(solver->display_name()) + " does not support the " +
+        deploy::ObjectiveName(spec.objective.primary) + " objective");
+  }
+  spec.method = solver->name();
+  CLOUDIA_RETURN_IF_ERROR(deploy::ValidateSolveOptions(spec));
+  return spec;
+}
+
 int RunAdvise(const Flags& flags) {
-  auto seed = flags.GetInt("seed", 1);
+  auto spec = SolveSpecFromFlags(flags);
+  if (!spec.ok()) {
+    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
+    return 2;
+  }
   auto nodes = flags.GetInt("nodes", 30);
-  auto budget = flags.GetDouble("budget", 10.0);
-  auto clusters = flags.GetInt("clusters", 20);
-  auto threads = flags.GetInt("threads", 0);
   auto over = flags.GetDouble("over-allocation", 0.10);
   auto minutes = flags.GetDouble("minutes", 0.0);
-  auto hier_clusters = flags.GetInt("hier-clusters", 0);
-  auto hier_polish = flags.GetInt("hier-polish-steps", 2000);
-  auto price_weight = flags.GetDouble("price-weight", 0.0);
-  auto migration_weight = flags.GetDouble("migration-weight", 0.0);
-  if (!seed.ok() || !nodes.ok() || !budget.ok() || !clusters.ok() ||
-      !threads.ok() || !over.ok() || !minutes.ok() || !hier_clusters.ok() ||
-      !hier_polish.ok() || !price_weight.ok() || !migration_weight.ok()) {
+  if (!nodes.ok() || !over.ok() || !minutes.ok()) {
     std::fprintf(stderr, "bad numeric flag\n");
     return 2;
   }
-  if (!ValidateThreads(*threads)) return 2;
-  if (!ValidateObjectiveWeight("--price-weight", *price_weight) ||
-      !ValidateObjectiveWeight("--migration-weight", *migration_weight)) {
-    return 2;
-  }
-  std::vector<std::string> portfolio_members;
-  if (!ValidatePortfolio(flags.GetString("portfolio", ""),
-                         &portfolio_members)) {
-    return 2;
-  }
-  auto objective =
-      deploy::ParseObjective(flags.GetString("objective", "longest-link"));
-  if (!objective.ok()) {
-    std::fprintf(stderr, "%s\n", objective.status().ToString().c_str());
-    return 2;
-  }
-  // Reject a bad --method before paying for allocation + measurement.
-  auto solver = deploy::SolverRegistry::Global().Require(
-      flags.GetString("method", "cp"));
-  if (!solver.ok()) {
-    std::fprintf(stderr, "%s\n", solver.status().ToString().c_str());
-    return 2;
-  }
-  if (!(*solver)->Supports(*objective)) {
-    std::fprintf(stderr, "%s does not support the %s objective\n",
-                 (*solver)->display_name(),
-                 deploy::ObjectiveName(*objective));
-    return 2;
-  }
+  const std::string provider = flags.GetString("provider", "ec2");
+  const std::string graph_name = flags.GetString("graph", "mesh");
+  const std::string out = flags.GetString("out", "");
+  ObsSinks sinks(flags);
+  if (!RejectUnknownFlags(flags)) return 2;
 
-  net::CloudSimulator cloud(ProviderByName(flags.GetString("provider", "ec2")),
-                            static_cast<uint64_t>(*seed));
-  graph::CommGraph app = GraphByName(flags.GetString("graph", "mesh"),
-                                     static_cast<int>(*nodes));
+  net::CloudSimulator cloud(ProviderByName(provider), spec->seed);
+  graph::CommGraph app = GraphByName(graph_name, static_cast<int>(*nodes));
   std::printf("application graph: %s\n", app.ToString().c_str());
 
-  ObsSinks sinks(flags);
   SessionOptions options;
   options.over_allocation = *over;
   options.measure_duration_s = *minutes * 60.0;
-  options.seed = static_cast<uint64_t>(*seed);
+  options.seed = spec->seed;
   options.obs = sinks.Config();
 
   // Staged pipeline so the measured matrix is still around for --out.
@@ -209,7 +209,6 @@ int RunAdvise(const Flags& flags) {
                  measured.ToString().c_str());
     return 1;
   }
-  std::string out = flags.GetString("out", "");
   if (!out.empty()) {
     Status saved = measure::SaveCostMatrix(
         out, session.costs(), measure::CostMetricName(options.metric));
@@ -220,24 +219,12 @@ int RunAdvise(const Flags& flags) {
     std::printf("saved measured cost matrix to %s\n", out.c_str());
   }
 
-  SolveSpec spec;
-  spec.method = (*solver)->name();
-  spec.objective = *objective;
-  spec.objective.price_weight = *price_weight;
-  spec.objective.migration_weight = *migration_weight;
-  if (*price_weight > 0) {
+  if (spec->objective.price_weight > 0) {
     // Price the allocated pool with the provider's per-host price model.
-    spec.objective.instance_prices = cloud.InstancePrices(session.allocated());
+    spec->objective.instance_prices =
+        cloud.InstancePrices(session.allocated());
   }
-  spec.time_budget_s = *budget;
-  spec.cost_clusters = static_cast<int>(*clusters);
-  spec.threads = static_cast<int>(*threads);
-  spec.portfolio_members = std::move(portfolio_members);
-  spec.seed = static_cast<uint64_t>(*seed);
-  spec.hier_clusters = static_cast<int>(*hier_clusters);
-  spec.hier_shard_solver = flags.GetString("hier-shard-solver", "");
-  spec.hier_polish_steps = static_cast<int>(*hier_polish);
-  auto solve = session.Solve(spec);
+  auto solve = session.Solve(*spec);
   if (!solve.ok()) {
     std::fprintf(stderr, "solve failed: %s\n",
                  solve.status().ToString().c_str());
@@ -265,21 +252,21 @@ int RunAdvise(const Flags& flags) {
               solve->result.proven_optimal ? " (proven optimal)" : "");
   std::printf("  predicted reduction : %.1f %%\n",
               100.0 * solve->predicted_improvement);
-  if (*price_weight > 0) {
+  if (spec->objective.price_weight > 0) {
     double plan_price = 0.0;
     for (int idx : solve->result.deployment) {
-      plan_price += spec.objective.instance_prices[static_cast<size_t>(idx)];
+      plan_price += spec->objective.instance_prices[static_cast<size_t>(idx)];
     }
     std::printf("  plan price          : %.4f $/hour (weight %g)\n",
-                plan_price, *price_weight);
+                plan_price, spec->objective.price_weight);
   }
-  if (*migration_weight > 0) {
+  if (spec->objective.migration_weight > 0) {
     int moves = 0;
     for (size_t i = 0; i < solve->result.deployment.size(); ++i) {
       moves += solve->result.deployment[i] != static_cast<int>(i) ? 1 : 0;
     }
     std::printf("  moves vs default    : %d (weight %g ms/move)\n", moves,
-                *migration_weight);
+                spec->objective.migration_weight);
   }
   std::printf("plan:\n");
   for (size_t i = 0; i < solve->placement.size(); ++i) {
@@ -295,11 +282,13 @@ int RunMeasure(const Flags& flags) {
   auto instances = flags.GetInt("instances", 50);
   auto minutes = flags.GetDouble("minutes", 5.0);
   std::string out = flags.GetString("out", "costs.txt");
+  const std::string provider = flags.GetString("provider", "ec2");
   if (!seed.ok() || !instances.ok() || !minutes.ok()) {
     std::fprintf(stderr, "bad numeric flag\n");
     return 2;
   }
-  net::CloudSimulator cloud(ProviderByName(flags.GetString("provider", "ec2")),
+  if (!RejectUnknownFlags(flags)) return 2;
+  net::CloudSimulator cloud(ProviderByName(provider),
                             static_cast<uint64_t>(*seed));
   auto alloc = cloud.Allocate(static_cast<int>(*instances));
   if (!alloc.ok()) {
@@ -331,7 +320,12 @@ int RunMeasure(const Flags& flags) {
 }
 
 int RunSolve(const Flags& flags) {
-  std::string path = flags.GetString("costs", "");
+  auto spec = SolveSpecFromFlags(flags);
+  if (!spec.ok()) {
+    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
+    return 2;
+  }
+  const std::string path = flags.GetString("costs", "");
   if (path.empty()) {
     std::fprintf(stderr, "--costs=FILE is required for 'solve'\n");
     return 2;
@@ -341,85 +335,41 @@ int RunSolve(const Flags& flags) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 1;
   }
-  auto seed = flags.GetInt("seed", 1);
-  auto budget = flags.GetDouble("budget", 10.0);
-  auto clusters = flags.GetInt("clusters", 20);
-  auto threads = flags.GetInt("threads", 0);
-  auto nodes = flags.GetInt(
-      "nodes", static_cast<int64_t>(loaded->costs.size() * 9 / 10));
-  auto hier_clusters = flags.GetInt("hier-clusters", 0);
-  auto hier_polish = flags.GetInt("hier-polish-steps", 2000);
-  auto price_weight = flags.GetDouble("price-weight", 0.0);
-  auto migration_weight = flags.GetDouble("migration-weight", 0.0);
-  if (!seed.ok() || !budget.ok() || !clusters.ok() || !threads.ok() ||
-      !nodes.ok() || !hier_clusters.ok() || !hier_polish.ok() ||
-      !price_weight.ok() || !migration_weight.ok()) {
-    std::fprintf(stderr, "bad numeric flag\n");
+  const int m = loaded->costs.size();
+  auto nodes = flags.GetInt("nodes", m * 9 / 10);
+  if (!nodes.ok()) {
+    std::fprintf(stderr, "%s\n", nodes.status().ToString().c_str());
     return 2;
   }
-  if (!ValidateThreads(*threads)) return 2;
-  if (!ValidateObjectiveWeight("--price-weight", *price_weight) ||
-      !ValidateObjectiveWeight("--migration-weight", *migration_weight)) {
-    return 2;
-  }
-  std::vector<std::string> portfolio_members;
-  if (!ValidatePortfolio(flags.GetString("portfolio", ""),
-                         &portfolio_members)) {
-    return 2;
-  }
-  // Registry-based lookup so every registered solver (including the
-  // portfolio) is reachable, not only the Method enum's built-ins.
-  auto solver = deploy::SolverRegistry::Global().Require(
-      flags.GetString("method", "cp"));
-  auto objective =
-      deploy::ParseObjective(flags.GetString("objective", "longest-link"));
-  if (!solver.ok() || !objective.ok()) {
-    std::fprintf(stderr, "%s\n",
-                 (!solver.ok() ? solver.status() : objective.status())
-                     .ToString()
-                     .c_str());
-    return 2;
-  }
+  const std::string provider = flags.GetString("provider", "ec2");
   graph::CommGraph app = GraphByName(flags.GetString("graph", "mesh"),
                                      static_cast<int>(*nodes));
-  if (app.num_nodes() > loaded->costs.size()) {
+  ObsSinks sinks(flags);
+  if (!RejectUnknownFlags(flags)) return 2;
+  if (app.num_nodes() > m) {
     std::fprintf(stderr, "graph needs %d nodes but matrix has %d instances\n",
-                 app.num_nodes(), loaded->costs.size());
+                 app.num_nodes(), m);
     return 2;
   }
-  deploy::NdpSolveOptions opts;
-  opts.objective = *objective;
-  opts.objective.price_weight = *price_weight;
-  opts.objective.migration_weight = *migration_weight;
-  if (*price_weight > 0) {
+  if (spec->objective.price_weight > 0) {
     // A saved matrix carries no host identities; derive a deterministic
     // price per matrix row from the provider profile's price model.
-    const net::ProviderProfile profile =
-        ProviderByName(flags.GetString("provider", "ec2"));
-    opts.objective.instance_prices.reserve(
-        static_cast<size_t>(loaded->costs.size()));
-    for (int i = 0; i < loaded->costs.size(); ++i) {
-      opts.objective.instance_prices.push_back(net::InstancePrice(profile, i));
+    const net::ProviderProfile profile = ProviderByName(provider);
+    spec->objective.instance_prices.reserve(static_cast<size_t>(m));
+    for (int i = 0; i < m; ++i) {
+      spec->objective.instance_prices.push_back(
+          net::InstancePrice(profile, i));
     }
   }
-  opts.time_budget_s = *budget;
-  opts.cost_clusters = static_cast<int>(*clusters);
-  opts.threads = static_cast<int>(*threads);
-  opts.portfolio_members = std::move(portfolio_members);
-  opts.seed = static_cast<uint64_t>(*seed);
-  opts.hier_clusters = static_cast<int>(*hier_clusters);
-  opts.hier_shard_solver = flags.GetString("hier-shard-solver", "");
-  opts.hier_polish_steps = static_cast<int>(*hier_polish);
-  ObsSinks sinks(flags);
   const obs::ObsConfig obs_config = sinks.Config();
-  deploy::SolveContext context(Deadline::After(*budget));
-  context.set_max_threads(opts.threads);
+  deploy::SolveContext context(Deadline::After(spec->time_budget_s));
+  context.set_max_threads(spec->threads);
   obs::Span solve_span(obs_config.tracer, "cli.solve", "cli");
   if (obs_config.tracer != nullptr) {
-    context.set_obs(obs_config.tracer, solve_span.id(), (*solver)->name());
+    context.set_obs(obs_config.tracer, solve_span.id(), spec->method);
   }
   auto result = deploy::SolveNodeDeploymentByName(
-      app, loaded->costs, (*solver)->name(), opts, context);
+      app, loaded->costs, spec->method, *spec, context);
   solve_span.End();
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
@@ -427,8 +377,9 @@ int RunSolve(const Flags& flags) {
   }
   if (!sinks.Dump()) return 1;
   std::printf("graph %s, %s / %s: cost %.4f ms%s after %.1f s\n",
-              app.ToString().c_str(), (*solver)->display_name(),
-              deploy::ObjectiveName(*objective), result->cost,
+              app.ToString().c_str(),
+              deploy::SolverRegistry::Global().Find(spec->method)->display_name(),
+              deploy::ObjectiveName(spec->objective.primary), result->cost,
               result->proven_optimal ? " (optimal)" : "",
               result->trace.empty() ? 0.0 : result->trace.back().seconds);
   for (size_t i = 0; i < result->deployment.size(); ++i) {

@@ -56,6 +56,7 @@ void PrintUsage() {
       "  --trace=FILE         write a Chrome trace_event JSON of the run\n"
       "                       (open in chrome://tracing or Perfetto)\n"
       "  --metrics=FILE       write final counters as bench-schema JSON\n"
+      "  (an unknown flag is rejected)\n"
       "\n"
       "request line keys (whitespace-separated key=value; '#' comments):\n"
       "  verb=deploy|redeploy (default deploy)\n"
@@ -68,7 +69,8 @@ void PrintUsage() {
       "      paper's 5 min per 100 instances)   probe-bytes=B (finite, >= 0)\n"
       "  graph=mesh|tree|bipartite|ring   nodes=N\n"
       "  method=auto|%s\n"
-      "  objective=longest-link|longest-path   budget=S   clusters=K\n"
+      "  objective=longest-link|longest-path   budget=S (finite, >= 0)\n"
+      "  clusters=K\n"
       "  price-weight=W (ms per $/h on summed instance price; finite, >= 0;\n"
       "      the service prices the pool via the provider's price model)\n"
       "  migration-weight=W (ms per node placed away from the default)\n"
@@ -310,44 +312,17 @@ Result<ParsedRequest> ParseRequestLine(const std::string& line,
       req.solve.objective.primary = primary;
     } else if (key == "price-weight") {
       CLOUDIA_ASSIGN_OR_RETURN(req.solve.objective.price_weight, as_double());
-      if (!std::isfinite(req.solve.objective.price_weight) ||
-          req.solve.objective.price_weight < 0) {
-        return Status::InvalidArgument(
-            "price-weight=" + value +
-            " is invalid: weights must be finite and >= 0 "
-            "(valid range: [0, inf))");
-      }
     } else if (key == "migration-weight") {
       CLOUDIA_ASSIGN_OR_RETURN(req.solve.objective.migration_weight,
                                as_double());
-      if (!std::isfinite(req.solve.objective.migration_weight) ||
-          req.solve.objective.migration_weight < 0) {
-        return Status::InvalidArgument(
-            "migration-weight=" + value +
-            " is invalid: weights must be finite and >= 0 "
-            "(valid range: [0, inf))");
-      }
     } else if (key == "budget") {
       CLOUDIA_ASSIGN_OR_RETURN(req.solve.time_budget_s, as_double());
-      if (!std::isfinite(req.solve.time_budget_s) ||
-          req.solve.time_budget_s < 0) {
-        return Status::InvalidArgument(
-            "budget=" + value +
-            ": time budget must be finite and >= 0 seconds "
-            "(valid range: [0, inf))");
-      }
     } else if (key == "clusters") {
       CLOUDIA_ASSIGN_OR_RETURN(req.solve.cost_clusters, as_int());
     } else if (key == "r1-samples") {
       CLOUDIA_ASSIGN_OR_RETURN(req.solve.r1_samples, as_int());
     } else if (key == "threads") {
       CLOUDIA_ASSIGN_OR_RETURN(req.solve.threads, as_int());
-      if (req.solve.threads < 0) {
-        return Status::InvalidArgument(
-            "threads=" + value +
-            ": thread count cannot be negative (use 0 for the service's "
-            "budget)");
-      }
     } else if (key == "portfolio") {
       CLOUDIA_ASSIGN_OR_RETURN(
           req.solve.portfolio_members,
@@ -374,6 +349,7 @@ Result<ParsedRequest> ParseRequestLine(const std::string& line,
     }
   }
 
+  CLOUDIA_RETURN_IF_ERROR(deploy::ValidateSolveOptions(req.solve));
   req.app = graphs.Get(graph_name, nodes);
   nodes = req.app->num_nodes();
   req.environment.instances =
@@ -434,6 +410,10 @@ int main(int argc, char** argv) {
   if (!tools::ValidateThreads(*threads)) return 2;
   const bool batch = flags->GetBool("batch", false);
   const std::string path = flags->GetString("file", "-");
+  const std::string default_method = flags->GetString("default-method", "cp");
+  const std::string trace_path = flags->GetString("trace", "");
+  const std::string metrics_path = flags->GetString("metrics", "");
+  if (!tools::RejectUnknownFlags(*flags)) return 2;
 
   std::ifstream file;
   std::istream* in = &std::cin;
@@ -446,8 +426,6 @@ int main(int argc, char** argv) {
     in = &file;
   }
 
-  const std::string trace_path = flags->GetString("trace", "");
-  const std::string metrics_path = flags->GetString("metrics", "");
   // The registry is always attached (near-free when idle) so `verb=stats`
   // lines and --metrics have data; tracing stays opt-in via --trace.
   obs::MetricsRegistry registry;
@@ -458,7 +436,7 @@ int main(int argc, char** argv) {
   options.cache_capacity = static_cast<size_t>(*capacity);
   if (*ttl > 0) options.cache_ttl_s = *ttl;
   options.portfolio_node_threshold = static_cast<int>(*threshold);
-  options.default_method = flags->GetString("default-method", "cp");
+  options.default_method = default_method;
   options.start_paused = batch;
   options.obs.metrics = &registry;
   if (!trace_path.empty()) options.obs.tracer = &tracer;

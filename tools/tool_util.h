@@ -6,12 +6,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "deploy/solver_registry.h"
 #include "graph/templates.h"
 
@@ -85,16 +85,16 @@ inline bool ValidateThreads(int64_t threads) {
   return false;
 }
 
-/// Objective weights (--price-weight / price-weight=, --migration-weight /
-/// migration-weight=) must be finite and non-negative. Returns false after
-/// printing a usage-style error naming the valid range to stderr.
-inline bool ValidateObjectiveWeight(const char* flag, double value) {
-  if (std::isfinite(value) && value >= 0.0) return true;
-  std::fprintf(stderr,
-               "%s=%g is invalid: weights must be finite and >= 0 "
-               "(valid range: [0, inf))\n",
-               flag, value);
-  return false;
+/// Fails when the command line holds a flag that nothing has read. Call it
+/// after the mode has read every flag it knows, so a typo is a usage error
+/// instead of a silently ignored knob. Returns false after printing every
+/// unknown flag to stderr.
+inline bool RejectUnknownFlags(const Flags& flags) {
+  const std::vector<std::string> unknown = flags.UnqueriedFlags();
+  for (const std::string& name : unknown) {
+    std::fprintf(stderr, "unknown flag --%s (see --help)\n", name.c_str());
+  }
+  return unknown.empty();
 }
 
 }  // namespace cloudia::tools
